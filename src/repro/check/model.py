@@ -38,6 +38,12 @@ SUITE = "model"
 #: one ARM keeps the pass cheap while covering distinct cache shapes)
 CHECK_ARCHS = ("Skylake", "Rome", "TX2")
 
+#: two machines whose L2 windows differ (8 vs 10 lines), evaluated at
+#: one shared thread count: equal schedules, so only the window tells
+#: their memoised per-thread x-loads apart
+WINDOW_ARCHS = ("Skylake", "Ice Lake")
+WINDOW_THREADS = 16
+
 
 def _naive_prev(stream) -> np.ndarray:
     last: dict = {}
@@ -127,35 +133,51 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
     return report
 
 
+def _check_cells(report, name, a, archs, nthreads=None) -> None:
+    """``predict_many`` on ``a`` vs a ``fastpath=False`` reference on a
+    fresh copy, cell by cell, bit for bit (at each architecture's own
+    thread count unless ``nthreads`` is given)."""
+    preds = model_mod.predict_many(
+        a, archs, kernels=("1d", "2d"),
+        nthreads=None if nthreads is None else (nthreads,))
+    for arch in archs:
+        nt = nthreads or arch.threads
+        for kernel in ("1d", "2d"):
+            subject = (f"matrix={name} arch={arch.name} "
+                       f"kernel={kernel} nthreads={nt}")
+            reference = model_mod.PerfModel(arch, fastpath=False)
+            schedule = (schedule_1d(a, nt) if kernel == "1d"
+                        else schedule_2d(a, nt))
+            want = reference.predict(_fresh_copy(a), schedule)
+            got = preds[(arch.name, kernel, nt)]
+            report.check(
+                got.seconds == want.seconds
+                and got.x_line_loads == want.x_line_loads
+                and bool(np.array_equal(got.thread_seconds,
+                                        want.thread_seconds)),
+                SUITE, "fastpath-matches-naive-model", subject,
+                f"fastpath seconds={got.seconds!r} "
+                f"x_line_loads={got.x_line_loads} vs naive "
+                f"{want.seconds!r}/{want.x_line_loads}")
+
+
 def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
-    """Batched fast-path evaluation vs naive per-cell reference."""
+    """Batched fast-path evaluation vs naive per-cell reference.
+
+    Besides the requested architectures, every matrix is also scored
+    on :data:`WINDOW_ARCHS` at one shared thread count on the same
+    matrix object, so a per-thread x-loads memo that confused the two
+    L2 windows would serve one machine the other's loads."""
     archs = [get_architecture(n) for n in architectures]
+    window_archs = [get_architecture(n) for n in WINDOW_ARCHS]
     report = CheckReport(suites=[SUITE])
     with span("check.model.fastpath"):
         for name, a in matrices:
             if a.nnz == 0:
                 continue  # the model is defined over nonempty matrices
-            preds = model_mod.predict_many(a, archs, kernels=("1d", "2d"))
-            for arch in archs:
-                for kernel in ("1d", "2d"):
-                    subject = (f"matrix={name} arch={arch.name} "
-                               f"kernel={kernel}")
-                    reference = model_mod.PerfModel(
-                        arch, fastpath=False)
-                    schedule = (schedule_1d(a, arch.threads)
-                                if kernel == "1d"
-                                else schedule_2d(a, arch.threads))
-                    want = reference.predict(_fresh_copy(a), schedule)
-                    got = preds[(arch.name, kernel, arch.threads)]
-                    report.check(
-                        got.seconds == want.seconds
-                        and got.x_line_loads == want.x_line_loads
-                        and bool(np.array_equal(got.thread_seconds,
-                                                want.thread_seconds)),
-                        SUITE, "fastpath-matches-naive-model", subject,
-                        f"fastpath seconds={got.seconds!r} "
-                        f"x_line_loads={got.x_line_loads} vs naive "
-                        f"{want.seconds!r}/{want.x_line_loads}")
+            _check_cells(report, name, a, archs)
+            _check_cells(report, name, a, window_archs,
+                         nthreads=WINDOW_THREADS)
 
             batched = bench_mod.simulate_many(
                 a, archs, kernels=("1d", "2d"), matrix_name=name,

@@ -69,7 +69,10 @@ def _permutations_target(seed: int) -> CheckReport:
 def _model_target(seed: int) -> CheckReport:
     from .model import check_model
 
-    return check_model(check_corpus(seed)[:2],
+    # the first two tiny matrices span only 7 x lines; the scrambled
+    # 100-row stencil also overflows the 8-line L2 window, so the
+    # window-sensitive cells have something to tell apart
+    return check_model(check_corpus(seed)[:4],
                        architectures=("Rome",))
 
 
@@ -208,6 +211,27 @@ def _fault_model_fastpath_drift():
         return prev
 
     return _patched(ReuseStats, "prev", drifted)
+
+
+def _fault_xloads_memo_ignores_capacity():
+    from ..machine import reuse as reuse_mod
+
+    def capacity_blind(self, words_per_line, capacity_lines, schedule):
+        prev = self.prev(words_per_line)
+        # the memo key forgets the L2 window: machines with equal
+        # schedules but different windows get each other's loads
+        key = (words_per_line, schedule.kind,
+               schedule.entry_start.tobytes())
+        cached = self._x_loads.get(key)
+        if cached is None:
+            cached = reuse_mod.thread_window_loads(
+                prev, schedule.entry_start, capacity_lines,
+                self.positions(prev.size))
+            self._x_loads[key] = cached
+        return cached
+
+    return _patched(reuse_mod.ReuseStats, "thread_x_loads",
+                    capacity_blind)
 
 
 def _fault_prev_occurrence_off_by_one():
@@ -556,6 +580,12 @@ FAULTS = (
           "line load",
           "fastpath-matches-naive-model", _model_target,
           _fault_model_fastpath_drift),
+    Fault("xloads-memo-ignores-capacity",
+          "the per-thread x-loads memo key drops the L2 window, so "
+          "machines sharing a schedule share their loads",
+          "fastpath-matches-naive-model", _model_target,
+          _fault_xloads_memo_ignores_capacity,
+          expect_detail="arch=Ice Lake"),
     Fault("dropped-journal-line",
           "SweepJournal silently drops the second record line",
           "journal-matches-metrics", _artifacts_target,
@@ -677,6 +707,10 @@ class MutationOutcome:
     findings: int
     matched: int
     description: str
+    #: numpy floating-point errors (``"overflow"``, ``"invalid"``, ...)
+    #: the faulty code raised, e.g. while a mutated solver diverged;
+    #: recorded as the fault's symptom instead of leaking a warning
+    fp_errors: list = field(default_factory=list)
 
 
 @dataclass
@@ -706,9 +740,12 @@ class MutationReport:
                 lines.append(f"    {f}")
         for o in self.outcomes:
             status = "caught" if o.caught else "MISSED"
+            symptoms = (f"; numpy {', '.join(o.fp_errors)}"
+                        if o.fp_errors else "")
             lines.append(
                 f"  [{status:>6}] {o.fault}: {o.description} "
-                f"({o.matched}/{o.findings} finding(s) matched)")
+                f"({o.matched}/{o.findings} finding(s) matched"
+                f"{symptoms})")
         lines.append("mutation smoke: "
                      + ("OK — every fault caught" if self.ok else "FAILED"))
         return "\n".join(lines)
@@ -732,8 +769,15 @@ def run_mutation_smoke(seed: int = 0) -> MutationReport:
                 report.baseline_clean = False
                 report.baseline_findings.extend(clean.findings)
         for fault in FAULTS:
+            fp_errors: set = set()
+
+            def record(kind, flag):
+                fp_errors.add(kind)
+
             with span("check.mutation.fault", fault=fault.name):
-                with fault.inject():
+                with fault.inject(), np.errstate(
+                        over="call", invalid="call", divide="call",
+                        call=record):
                     result = fault.target(seed)
             matched = sum(_matches(f, fault) for f in result.findings)
             report.outcomes.append(MutationOutcome(
@@ -741,5 +785,6 @@ def run_mutation_smoke(seed: int = 0) -> MutationReport:
                 caught=matched > 0,
                 findings=len(result.findings),
                 matched=matched,
-                description=fault.description))
+                description=fault.description,
+                fp_errors=sorted(fp_errors)))
     return report

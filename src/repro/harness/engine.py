@@ -80,6 +80,8 @@ JOURNAL_VERSION = 1
 #: key mapping (the metrics artifact is now a view over the registry).
 _MODEL_STAT_NAMES = {
     "reuse.builds": "reuse_builds", "reuse.hits": "reuse_hits",
+    "reuse.xloads.builds": "xloads_builds",
+    "reuse.xloads.hits": "xloads_hits",
     "schedule.builds": "schedule_builds",
     "schedule.hits": "schedule_hits",
 }
@@ -268,6 +270,7 @@ class SweepMetrics:
     cache: dict = field(default_factory=dict)
     model_stats: dict = field(default_factory=lambda: {
         "reuse_builds": 0, "reuse_hits": 0,
+        "xloads_builds": 0, "xloads_hits": 0,
         "schedule_builds": 0, "schedule_hits": 0})
     cells: dict = field(default_factory=lambda: {
         "total": 0, "completed": 0, "resumed": 0, "failed": 0,

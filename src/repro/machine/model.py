@@ -53,6 +53,7 @@ from ..obs.trace import span
 from ..spmv.schedule import Schedule, get_schedule
 from .arch import Architecture
 from .reuse import (
+    LOCALITY_WEIGHT,
     ReuseStats,
     distinct_count,
     prev_occurrence,
@@ -85,9 +86,6 @@ DEFAULT_CACHE_SCALE = 1.0 / 1024.0
 #: LLC-exceeding working set that still hits (the LRU-recent x lines).
 RESIDENCY_CAP = 0.7
 RESIDENCY_FLOOR = 0.3
-#: fraction of capacity-regime x reloads charged (prefetch/OoO overlap
-#: hides part of the naive reload count)
-LOCALITY_WEIGHT = 0.5
 #: effective bytes charged per x line fetch.  A full line is 64 B, but
 #: prefetch overlap and partial-line reuse mean the marginal bandwidth
 #: cost of a gather is lower; 16 B calibrates the model's speedup
@@ -288,48 +286,16 @@ class PerfModel:
     # ------------------------------------------------------------------
     # batched (all-threads-at-once) fast path
     # ------------------------------------------------------------------
-    def _x_loads_batch(self, schedule: Schedule, reuse: ReuseStats,
-                       prev: np.ndarray, nnz_t: np.ndarray) -> np.ndarray:
-        """Per-thread x line loads for every thread at once.
-
-        Same windowed working-set model as :meth:`_loads_from_prev`,
-        with the per-thread slices handled by one pass over the entry
-        stream (thread ids via ``repeat``, per-thread counts via
-        ``bincount``) — bit-identical results, no per-thread Python
-        loop.
-        """
-        n = prev.size
-        tcount = schedule.nthreads
-        tid = np.repeat(np.arange(tcount, dtype=np.int64), nnz_t)
-        lo = np.repeat(schedule.entry_start[:-1], nnz_t)
-        distinct = np.bincount(tid[prev < lo], minlength=tcount)
-        cap = self._l2_lines()
-        x_loads = distinct.copy()
-        capm = distinct > cap
-        if not capm.any():
-            return x_loads
-        # capacity regime per thread: window from that thread's density
-        density = distinct[capm] / nnz_t[capm]
-        window = np.ones(tcount, dtype=np.int64)
-        window[capm] = np.maximum(
-            (cap / np.maximum(density, 0.05)).astype(np.int64), cap)
-        win = np.repeat(window, nnz_t)
-        rel = reuse.positions(n) - lo
-        wstart = lo + (rel // win) * win
-        loads = np.bincount(tid[prev < wstart], minlength=tcount)
-        x_loads[capm] = (distinct[capm] + LOCALITY_WEIGHT
-                         * (loads[capm] - distinct[capm])).astype(np.int64)
-        return x_loads
-
     def _predict_batch(self, a: CSRMatrix, schedule: Schedule,
-                       reuse: ReuseStats, prev: np.ndarray | None,
-                       resid: float) -> tuple:
+                       reuse: ReuseStats, resid: float) -> tuple:
         """All per-thread costs in one vectorised pass.
 
         Elementwise float64 operations in the same order as
         :meth:`_thread_time`, so ``(times, x_loads, bytes)`` are
         bit-identical to the per-thread loop (asserted by the
-        golden-equivalence suite).
+        golden-equivalence suite).  The x-line loads come from the
+        per-matrix memo (:meth:`ReuseStats.thread_x_loads`), so cells
+        sharing a schedule and L2 window compute them once.
         """
         tcount = schedule.nthreads
         nnz_t = np.diff(schedule.entry_start)
@@ -337,10 +303,11 @@ class PerfModel:
         rows_t = np.maximum(rows_span, (nnz_t > 0).astype(np.int64))
         if not self.locality_term:
             x_loads = nnz_t.copy()
-        elif prev is None or a.nnz == 0:
+        elif a.nnz == 0:
             x_loads = np.zeros(tcount, dtype=np.int64)
         else:
-            x_loads = self._x_loads_batch(schedule, reuse, prev, nnz_t)
+            x_loads = reuse.thread_x_loads(self.arch.line_size // 8,
+                                           self._l2_lines(), schedule)
         changes = np.zeros(tcount, dtype=np.int64)
         multi = rows_span >= 2
         if multi.any():
@@ -376,24 +343,23 @@ class PerfModel:
         per-window distinct counts per cell.
         """
         REGISTRY.counter("model.predicts").inc()
-        prev = None
-        if self.fastpath:
-            if reuse is None:
-                reuse = ReuseStats.for_matrix(a)
-            if self.locality_term and a.nnz:
-                prev = reuse.prev(self.arch.line_size // 8)
-        else:
+        if not self.fastpath:
             reuse = None
+        elif reuse is None:
+            reuse = ReuseStats.for_matrix(a)
         resid = self.llc_residency(a)
         if (reuse is not None
                 and type(self)._thread_time is PerfModel._thread_time):
             times, loads_t, bytes_arr = self._predict_batch(
-                a, schedule, reuse, prev, resid)
+                a, schedule, reuse, resid)
             loads = int(loads_t.sum())
             # cumsum accumulates left-to-right like the loop below, so
             # the float result is bit-identical to the per-thread sum
             total_bytes = float(np.cumsum(bytes_arr)[-1])
         else:
+            prev = None
+            if reuse is not None and self.locality_term and a.nnz:
+                prev = reuse.prev(self.arch.line_size // 8)
             times = np.zeros(schedule.nthreads)
             loads = 0
             total_bytes = 0.0

@@ -28,11 +28,16 @@ count from them:
 * :class:`ReuseStats` — the memoised per-matrix container threaded
   through ``simulate_measurement`` and ``PerfModel.predict_many`` so
   line ids, previous occurrences and row-length-change prefix sums are
-  shared across all cells of one (matrix, ordering).
+  shared across all cells of one (matrix, ordering).  It also holds the
+  one capacity-parameterised statistic: the model's per-thread x-line
+  loads (:meth:`ReuseStats.thread_x_loads`), memoised per (line size,
+  L2 window, schedule), which Table 2 machines with equal core counts
+  and windows — and kernels resolving to the same schedule — share.
 
 Build/hit counters live in the process-global
 :data:`repro.obs.REGISTRY` (``reuse.builds`` / ``reuse.hits`` /
-``reuse.bytes``) so the sweep engine can prove in
+``reuse.bytes``, and ``reuse.xloads.builds`` / ``reuse.xloads.hits``
+for the per-thread x-loads) so the sweep engine can prove in
 ``sweep_metrics.json`` how much recomputation the fast path removed;
 ``COUNTERS`` remains as a live read-only view with the legacy key
 names for existing tests, benchmarks and dashboards.
@@ -48,6 +53,12 @@ from ..obs.metrics import REGISTRY, CounterView
 _BUILDS = REGISTRY.counter("reuse.builds")
 _HITS = REGISTRY.counter("reuse.hits")
 _BYTES = REGISTRY.counter("reuse.bytes")
+_XLOADS_BUILDS = REGISTRY.counter("reuse.xloads.builds")
+_XLOADS_HITS = REGISTRY.counter("reuse.xloads.hits")
+
+#: fraction of capacity-regime x reloads the performance model charges
+#: (prefetch/OoO overlap hides part of the naive reload count)
+LOCALITY_WEIGHT = 0.5
 
 #: live view over the registry counters under their legacy key names;
 #: the sweep engine snapshots it around each task and reports the
@@ -200,11 +211,52 @@ def stack_distances(prev: np.ndarray) -> np.ndarray:
     return dist
 
 
+def thread_window_loads(prev: np.ndarray, entry_start: np.ndarray,
+                        capacity_lines: int,
+                        positions: np.ndarray) -> np.ndarray:
+    """The model's windowed working-set x-line loads of every thread.
+
+    Thread ``t`` owns stream positions ``[entry_start[t],
+    entry_start[t+1])``.  A thread whose distinct lines fit
+    ``capacity_lines`` loads each once; otherwise its slice is split
+    into windows of ``max(capacity / max(density, 0.05), capacity)``
+    accesses, each window refetches its distinct lines, and the
+    reloads beyond the compulsory ones are damped by
+    :data:`LOCALITY_WEIGHT`.  One pass over the stream handles all
+    threads (thread ids via ``repeat``, per-thread counts via
+    ``bincount``); bit-identical to the per-thread
+    ``PerfModel._loads_from_prev``.  ``positions`` is an ``arange``
+    of length ``prev.size``.
+    """
+    tcount = entry_start.size - 1
+    nnz_t = np.diff(entry_start)
+    tid = np.repeat(np.arange(tcount, dtype=np.int64), nnz_t)
+    lo = np.repeat(entry_start[:-1], nnz_t)
+    distinct = np.bincount(tid[prev < lo], minlength=tcount)
+    x_loads = distinct.copy()
+    capm = distinct > capacity_lines
+    if not capm.any():
+        return x_loads
+    # capacity regime per thread: window from that thread's density
+    density = distinct[capm] / nnz_t[capm]
+    window = np.ones(tcount, dtype=np.int64)
+    window[capm] = np.maximum(
+        (capacity_lines / np.maximum(density, 0.05)).astype(np.int64),
+        capacity_lines)
+    win = np.repeat(window, nnz_t)
+    rel = positions - lo
+    wstart = lo + (rel // win) * win
+    loads = np.bincount(tid[prev < wstart], minlength=tcount)
+    x_loads[capm] = (distinct[capm] + LOCALITY_WEIGHT
+                     * (loads[capm] - distinct[capm])).astype(np.int64)
+    return x_loads
+
+
 # ----------------------------------------------------------------------
 # per-(matrix, ordering) container
 # ----------------------------------------------------------------------
 class ReuseStats:
-    """Order-dependent, architecture-independent model statistics.
+    """Order-dependent model statistics of one matrix object.
 
     One instance is memoised per matrix object (each (matrix, ordering)
     pair of a sweep is its own :class:`~repro.matrix.csr.CSRMatrix`
@@ -216,7 +268,10 @@ class ReuseStats:
     x-vector doubles on every Table 2 machine, but the key keeps
     non-standard line sizes correct), and :meth:`row_change_count`
     serves any row range from one prefix sum over the row-length
-    change indicators.
+    change indicators.  These are architecture-independent.  The one
+    capacity-parameterised statistic, :meth:`thread_x_loads`, depends
+    on an architecture only through its L2 window, so machines with
+    equal windows and core counts share its entries.
     """
 
     #: attribute used to memoise the instance on the matrix object;
@@ -230,6 +285,7 @@ class ReuseStats:
         self._prev: dict = {}
         self._positions: np.ndarray | None = None
         self._row_change_prefix: np.ndarray | None = None
+        self._x_loads: dict = {}
 
     @classmethod
     def for_matrix(cls, a) -> "ReuseStats":
@@ -267,6 +323,34 @@ class ReuseStats:
             self._positions = np.arange(max(n, self.matrix.nnz),
                                         dtype=np.int64)
         return self._positions[:n]
+
+    def thread_x_loads(self, words_per_line: int, capacity_lines: int,
+                       schedule) -> np.ndarray:
+        """Per-thread modelled x-line loads under ``schedule``.
+
+        The windowed working-set loads (:func:`thread_window_loads`)
+        of the line-id stream for an L2 window of ``capacity_lines``
+        lines, as a read-only ``int64`` array of one entry per thread.
+        Memoised on ``(words_per_line, capacity_lines, schedule.kind,
+        schedule.entry_start)`` — the entry ranges themselves, not the
+        thread count, so hand-built schedules are keyed exactly.  Reads
+        :meth:`prev` once per call, so each prediction counts one
+        statistics hit whether or not its loads were memoised.
+        """
+        prev = self.prev(words_per_line)
+        key = (words_per_line, capacity_lines, schedule.kind,
+               schedule.entry_start.tobytes())
+        cached = self._x_loads.get(key)
+        if cached is None:
+            _XLOADS_BUILDS.inc()
+            cached = thread_window_loads(prev, schedule.entry_start,
+                                         capacity_lines,
+                                         self.positions(prev.size))
+            cached.flags.writeable = False
+            self._x_loads[key] = cached
+        else:
+            _XLOADS_HITS.inc()
+        return cached
 
     # -- row-structure statistics -------------------------------------
     def row_change_prefix(self) -> np.ndarray:

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.check import mutation
 
 
 @pytest.fixture(scope="module")
-def smoke():
-    return mutation.run_mutation_smoke(seed=0)
+def smoke_run():
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        report = mutation.run_mutation_smoke(seed=0)
+    return report, leaked
+
+
+@pytest.fixture(scope="module")
+def smoke(smoke_run):
+    return smoke_run[0]
 
 
 def test_baseline_is_clean(smoke):
@@ -21,6 +31,19 @@ def test_every_fault_is_caught(smoke):
     assert not missed, f"oracle blind spots: {missed}"
     assert smoke.ok
     assert len(smoke.outcomes) == len(mutation.FAULTS) >= 10
+
+
+def test_smoke_leaks_no_warnings(smoke_run):
+    _, leaked = smoke_run
+    assert [str(w.message) for w in leaked] == []
+
+
+def test_diverging_fault_reports_overflow_as_symptom(smoke):
+    # the halved Jacobi diagonal makes the iterate blow up; numpy's
+    # overflow is that fault's symptom, not a stray warning
+    outcome = {o.fault: o for o in smoke.outcomes}["jacobi-halved-diagonal"]
+    assert "overflow" in outcome.fp_errors
+    assert "numpy overflow" in smoke.render()
 
 
 def test_fault_names_are_unique():

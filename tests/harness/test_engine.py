@@ -22,7 +22,7 @@ from repro.harness import (
     SweepJournal,
     run_sweep,
 )
-from repro.machine import get_architecture
+from repro.machine import architecture_names, get_architecture
 from repro.reorder import registry
 
 
@@ -331,6 +331,26 @@ def test_metrics_report_model_stat_reuse(tmp_path):
     m = json.loads(path.read_text())
     assert m["model_stats"] == stats
     assert set(m["stages"]) >= {"reorder", "reuse_stats", "model_eval"}
+
+
+def test_metrics_report_xloads_memo_sharing():
+    """All 8 machines × 1d,2d,cg,spmm on one (matrix, ordering) need
+    only 12 per-thread x-loads computations: cg and spmm resolve to
+    the 1d schedule, the 8 machines have 6 core counts, and the one
+    machine with a 10-line L2 window (Ice Lake) has a core count of
+    its own."""
+    corpus = build_corpus("tiny", seed=0)[:1]
+    archs = [get_architecture(n) for n in architecture_names()]
+    engine = SweepEngine(corpus, archs, ["RCM", "Gray"],
+                         kernels=("1d", "2d", "cg", "spmm"))
+    result = engine.run()
+    assert result.failed == []
+    stats = engine.metrics.model_stats
+    variants = 3  # original, RCM, Gray
+    cells = variants * len(archs) * 4
+    assert cells == 96
+    assert stats["xloads_builds"] == variants * 12 == 36
+    assert stats["xloads_hits"] == cells - 36 == 60
 
 
 def test_gp_grouping_keeps_per_arch_permutations(tiny_corpus):

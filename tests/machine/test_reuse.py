@@ -9,7 +9,8 @@ is checked here against the brute-force definition on random streams:
 * ``stack_distances`` must equal the O(n²) distinct-values-between
   definition;
 * :class:`ReuseStats` must memoise per matrix object and report its
-  build/hit counters faithfully.
+  build/hit counters faithfully; its per-thread x-loads memo must be
+  keyed on everything the loads depend on.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from repro.machine.reuse import (
     COUNTERS,
+    LOCALITY_WEIGHT,
     ReuseStats,
     counters_snapshot,
     distinct_count,
@@ -24,6 +26,9 @@ from repro.machine.reuse import (
     stack_distances,
     windowed_distinct_loads,
 )
+from repro.matrix.csr import CSRMatrix
+from repro.obs.metrics import REGISTRY
+from repro.spmv.schedule import Schedule, schedule_1d, schedule_2d
 from ..conftest import random_csr
 
 
@@ -148,3 +153,92 @@ def test_prepare_materialises_lazily_built_arrays(rng):
     stats = ReuseStats.for_matrix(a).prepare(words_per_lines=(8, 4))
     assert set(stats._prev) == {8, 4}
     assert stats._row_change_prefix is not None
+
+
+# ----------------------------------------------------------------------
+# per-thread x-loads memo
+# ----------------------------------------------------------------------
+def brute_thread_x_loads(a, words_per_line, capacity_lines, schedule):
+    """The windowed working-set model per thread, with np.unique."""
+    out = []
+    for t in range(schedule.nthreads):
+        lo, hi = schedule.thread_entry_range(t)
+        lines = a.colidx[lo:hi] // words_per_line
+        distinct = int(np.unique(lines).size)
+        if distinct <= capacity_lines:
+            out.append(distinct)
+            continue
+        window = max(int(capacity_lines / max(distinct / lines.size, 0.05)),
+                     capacity_lines)
+        loads = sum(int(np.unique(lines[k:k + window]).size)
+                    for k in range(0, lines.size, window))
+        out.append(int(distinct + LOCALITY_WEIGHT * (loads - distinct)))
+    return np.array(out, dtype=np.int64)
+
+
+def _xloads_counts():
+    values = REGISTRY.values()
+    return (values.get("reuse.xloads.builds", 0),
+            values.get("reuse.xloads.hits", 0))
+
+
+def test_thread_x_loads_warm_equals_cold(rng):
+    a = random_csr(80, 900, rng, ncols=400)
+    stats = ReuseStats.for_matrix(a)
+    for schedule in (schedule_1d(a, 4), schedule_2d(a, 7)):
+        for cap in (8, 10):
+            cold = stats.thread_x_loads(8, cap, schedule)
+            warm = stats.thread_x_loads(8, cap, schedule)
+            assert warm is cold
+            fresh = CSRMatrix(a.nrows, a.ncols, a.rowptr.copy(),
+                              a.colidx.copy(), a.values.copy())
+            rebuilt = ReuseStats(fresh).thread_x_loads(8, cap, schedule)
+            assert np.array_equal(cold, rebuilt)
+            assert np.array_equal(
+                cold, brute_thread_x_loads(a, 8, cap, schedule))
+
+
+def test_thread_x_loads_is_read_only(rng):
+    a = random_csr(40, 300, rng, ncols=200)
+    loads = ReuseStats.for_matrix(a).thread_x_loads(8, 8, schedule_1d(a, 4))
+    assert loads.dtype == np.int64 and loads.shape == (4,)
+    assert not loads.flags.writeable
+    with pytest.raises(ValueError):
+        loads[0] = 0
+
+
+def test_thread_x_loads_keys_capacity_kind_and_threads(rng):
+    a = random_csr(80, 900, rng, ncols=400)
+    stats = ReuseStats.for_matrix(a)
+    cells = [(8, 8, schedule_1d(a, 4)), (8, 10, schedule_1d(a, 4)),
+             (8, 8, schedule_2d(a, 4)), (8, 8, schedule_1d(a, 8)),
+             (4, 8, schedule_1d(a, 4))]
+    builds, hits = _xloads_counts()
+    first = [stats.thread_x_loads(*cell) for cell in cells]
+    assert _xloads_counts() == (builds + len(cells), hits)
+    assert len({id(loads) for loads in first}) == len(cells)
+    for cell, loads in zip(cells, first):
+        assert np.array_equal(loads, brute_thread_x_loads(a, *cell))
+    # an equal but separately built schedule is served from the memo
+    again = [stats.thread_x_loads(wpl, cap, Schedule(
+                 s.kind, s.nthreads, s.entry_start.copy(),
+                 s.row_start.copy()))
+             for wpl, cap, s in cells]
+    assert all(x is y for x, y in zip(again, first))
+    assert _xloads_counts() == (builds + len(cells), hits + len(cells))
+    # a window change must matter on this matrix, or the key is untested
+    assert not np.array_equal(first[0], first[1])
+
+
+def test_thread_x_loads_keys_hand_built_entry_ranges(rng):
+    a = random_csr(60, 700, rng, ncols=400)
+    stats = ReuseStats.for_matrix(a)
+    split = [Schedule("1d", 2, np.array([0, a.rowptr[r], a.nnz]),
+                      np.array([0, r, a.nrows])) for r in (20, 40)]
+    builds, _ = _xloads_counts()
+    first = stats.thread_x_loads(8, 8, split[0])
+    second = stats.thread_x_loads(8, 8, split[1])
+    assert _xloads_counts()[0] == builds + 2
+    assert np.array_equal(first, brute_thread_x_loads(a, 8, 8, split[0]))
+    assert np.array_equal(second, brute_thread_x_loads(a, 8, 8, split[1]))
+    assert not np.array_equal(first, second)
