@@ -42,6 +42,14 @@ and resubmits the unfinished tasks — shrunk by every cell consumed so
 far — within a bounded crash budget; cells that keep killing workers
 become structured :class:`FailedCell` rows with ``stage="worker"``.
 
+A pool run ships every matrix to its workers as the path of a stored
+matrix (:mod:`repro.storage.format`), which they memmap read-only:
+snapshot-backed entries ship their own directory, in-RAM matrices are
+spilled once into an engine-owned temporary store that ``run()``
+removes on the way out.  A serial run (``jobs=1``) hands the matrix
+over inline.  A spill that fails (disk full) turns that matrix's
+cells into :class:`FailedCell` rows with ``stage="storage"``.
+
 Within one matrix the task loop is *ordering-outer*: each (ordering,
 nparts) permutation is computed once, and the reordered matrix —
 together with its memoised :class:`~repro.machine.reuse.ReuseStats`
@@ -53,7 +61,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -72,7 +79,6 @@ from ..obs import manifest as _manifest
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
-from . import shm as _shm
 
 JOURNAL_VERSION = 1
 
@@ -96,8 +102,9 @@ class FailedCell:
     """A structured record of one cell the sweep could not complete.
 
     ``stage`` names where the failure happened (``"reorder"``,
-    ``"model-eval"``, or ``"worker"`` when the worker process hosting
-    the cell kept dying); ``error`` is the exception class name,
+    ``"model-eval"``, ``"storage"`` when the matrix could not be
+    spilled for the pool, or ``"worker"`` when the worker process
+    hosting the cell kept dying); ``error`` is the exception class name,
     ``message`` its text.  ``attempts`` counts tries including retries.
     """
 
@@ -265,7 +272,7 @@ class SweepMetrics:
     wall_seconds: float = 0.0
     run_id: str | None = None
     stages: dict = field(default_factory=lambda: {
-        "generate": 0.0, "serialize": 0.0, "storage": 0.0,
+        "generate": 0.0, "storage": 0.0,
         "reorder": 0.0, "reuse_stats": 0.0, "model_eval": 0.0})
     cache: dict = field(default_factory=dict)
     model_stats: dict = field(default_factory=lambda: {
@@ -296,27 +303,17 @@ class SweepMetrics:
 class _TaskSpec:
     """One unit of pool work: every pending cell of one matrix.
 
-    ``transport`` names how the matrix travels to the worker:
-
-    * ``"inline"`` — ``entry.matrix`` is the matrix (serial runs);
-    * ``"shm"`` — ``entry.matrix`` is ``None`` and ``matrix_ref`` is a
-      :class:`~repro.harness.shm.ShmMatrixHandle` the worker attaches
-      to (zero-copy);
-    * ``"memmap"`` — ``matrix_ref`` is the path of a stored matrix
-      (:mod:`repro.storage.format`); workers memmap it read-only
-      (zero-copy like shm, but disk-backed: the mapping survives
-      worker death and its pages are reclaimable, so a sharded sweep's
-      RSS stays bounded);
-    * ``"pickle"`` — ``entry.matrix`` is ``None`` and ``matrix_ref``
-      holds explicitly pickled bytes (the fallback when shared memory
-      is unavailable or disabled; keeping the pickling explicit lets
-      both sides *time* it — see the ``serialize`` stage).
+    With ``matrix_ref`` ``None`` the matrix travels inline in
+    ``entry.matrix`` (serial runs).  Otherwise ``matrix_ref`` is the
+    path of a stored matrix (:mod:`repro.storage.format`) that the
+    worker memmaps read-only: zero-copy and disk-backed, so the
+    mapping survives worker death and its pages are reclaimable,
+    which keeps a sharded sweep's RSS bounded.
     """
 
-    entry: object                # CorpusEntry (metadata; see transport)
+    entry: object                # CorpusEntry (matrix stripped if shipped)
     pending: frozenset           # cells still to compute
-    transport: str = "inline"
-    matrix_ref: object = None    # ShmMatrixHandle | bytes | path | None
+    matrix_ref: str | None = None
 
 
 @dataclass
@@ -354,13 +351,35 @@ class _EngineConfig:
 _WORKER_CONFIG: _EngineConfig | None = None
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+def _fail_task(task: _TaskSpec, completed: dict, failures: list,
+               journal, **fields) -> None:
+    """Record every still-pending cell of ``task`` as a
+    :class:`FailedCell` carrying ``fields`` (stage, error, message,
+    attempts), journaling each row."""
+    for cell in sorted(task.pending):
+        if cell in completed:
+            continue
+        failures.append(FailedCell(
+            matrix=cell[0], ordering=cell[1], kernel=cell[2],
+            architecture=cell[3], **fields))
+        if journal is not None:
+            journal.append_failure(failures[-1])
+
+
 def _pool_init(config: _EngineConfig) -> None:
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
     # fork-started workers inherit the engine's buffered events (the
-    # pre-fork serialize spans from _pack_task); drop them so the first
+    # pre-fork storage spans from _pack_task); drop them so the first
     # drain ships only spans this worker recorded itself.
     TRACER.clear()
+    # ...and the engine's SIGTERM-to-SystemExit handler: a worker must
+    # die on terminate(), not report SystemExit as a task result
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if config.trace and not TRACER.enabled:
         TRACER.enable()
     if config.trace_ctx is not None:
@@ -377,33 +396,17 @@ def _pool_run(task: _TaskSpec) -> _TaskOutcome:
 def _resolve_task_matrix(task: _TaskSpec, timings: dict):
     """Materialise the task's matrix on the worker side.
 
-    Shared-memory attach (zero-copy, memoised per worker process) or
-    explicit unpickle, timed into the ``serialize`` stage; a memmap
-    attach (also zero-copy and memoised) times into the ``storage``
-    stage; inline transport is free.
+    Inline is free; a stored matrix is memmapped (zero-copy, memoised
+    per worker process), timed into the ``storage`` stage.
     """
-    if task.transport == "inline":
+    if task.matrix_ref is None:
         return task.entry.matrix
-    if task.transport == "memmap":
-        from ..storage import format as _storage
+    from ..storage import format as _storage
 
-        t0 = time.perf_counter()
-        with span("storage", matrix=task.entry.name,
-                  transport="memmap", side="worker"):
-            a = _storage.attach_matrix(task.matrix_ref)
-        timings["storage"] += time.perf_counter() - t0
-        return a
     t0 = time.perf_counter()
-    with span("serialize", matrix=task.entry.name,
-              transport=task.transport, side="worker"):
-        if task.transport == "shm":
-            a = _shm.attach_matrix(task.matrix_ref)
-        elif task.transport == "pickle":
-            a = pickle.loads(task.matrix_ref)
-        else:
-            raise HarnessError(
-                f"unknown task transport {task.transport!r}")
-    timings["serialize"] += time.perf_counter() - t0
+    with span("storage", matrix=task.entry.name, side="worker"):
+        a = _storage.attach_matrix(task.matrix_ref)
+    timings["storage"] += time.perf_counter() - t0
     return a
 
 
@@ -432,7 +435,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
     entry = task.entry
     records: list = []
     failures: list = []
-    timings = {"serialize": 0.0, "storage": 0.0, "reorder": 0.0,
+    timings = {"storage": 0.0, "reorder": 0.0,
                "reuse_stats": 0.0, "model_eval": 0.0}
     a = _resolve_task_matrix(task, timings)
     retried = 0
@@ -563,7 +566,9 @@ class SweepEngine:
     jobs:
         Worker process count; ``1`` runs inline (no multiprocessing),
         which also preserves the caller's in-memory ``cache`` and
-        allows non-picklable ``model_factory`` hooks.
+        allows non-picklable ``model_factory`` hooks.  With more,
+        workers memmap each matrix from disk: its snapshot directory,
+        or a spill of the in-RAM matrix into a temporary store.
     journal_path:
         JSONL checkpoint file.  ``None`` disables journaling.
     resume:
@@ -584,20 +589,6 @@ class SweepEngine:
     manifest_path:
         Where to write the :class:`~repro.obs.manifest.RunManifest`.
         ``None`` disables it.
-    shared_memory:
-        Legacy transport switch, kept for compatibility: ``True`` maps
-        to ``transport="shm"``, ``False`` to ``transport="pickle"``,
-        ``None`` to ``transport="auto"``.  Ignored when ``transport``
-        is given explicitly.
-    transport:
-        Matrix transport policy for pool runs: ``"shm"`` (shared-memory
-        segments, pickle fallback), ``"memmap"`` (stored matrices
-        attached read-only from disk — snapshot-backed entries map
-        their snapshot directly, in-RAM matrices are spilled to a
-        temporary store first), ``"pickle"`` (explicit bytes), or
-        ``"auto"`` (default: memmap when every corpus entry is
-        snapshot-backed, shm otherwise).  Serial (inline) runs ignore
-        this — the matrix never leaves the process.
     shard_bytes:
         Upper bound on the summed matrix bytes in flight per pool
         round.  When set, tasks are partitioned into consecutive
@@ -621,21 +612,12 @@ class SweepEngine:
                  timeout: float | None = None, retries: int = 0,
                  progress=None, trace: bool | None = None,
                  manifest_path: str | None = None,
-                 shared_memory: bool | None = None,
-                 transport: str | None = None,
                  shard_bytes: int | None = None,
                  snapshot=None) -> None:
         if jobs < 1:
             raise HarnessError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise HarnessError(f"retries must be >= 0, got {retries}")
-        if transport is None:
-            transport = {None: "auto", True: "shm",
-                         False: "pickle"}[shared_memory]
-        if transport not in ("auto", "shm", "memmap", "pickle"):
-            raise HarnessError(
-                f"unknown transport {transport!r} "
-                "(expected auto, shm, memmap or pickle)")
         if shard_bytes is not None and shard_bytes <= 0:
             raise HarnessError(
                 f"shard_bytes must be positive, got {shard_bytes}")
@@ -654,18 +636,17 @@ class SweepEngine:
         self.progress = progress
         self.trace = trace
         self.manifest_path = manifest_path
-        self.transport = transport
         self.shard_bytes = shard_bytes
         self.snapshot = snapshot
         self.metrics = SweepMetrics(jobs=jobs)
         #: run-local merge target of every worker's registry delta
         self.registry = MetricsRegistry()
-        #: shared-memory segments this engine created (owned: unlinked
-        #: in ``run()``'s finally, whatever happened to the workers)
-        self._segments: list = []
-        #: temporary on-disk store for matrices spilled by the memmap
-        #: transport (never a user snapshot; removed in ``run()``)
+        #: temporary on-disk store for in-RAM matrices shipped to pool
+        #: workers (never a user snapshot; removed in ``run()``)
         self._spill_dir: str | None = None
+        #: SIGTERM handler to restore once the spill store is gone
+        #: (``None``: none installed)
+        self._prev_sigterm = None
 
     # -- cell enumeration ---------------------------------------------
     def signature(self) -> dict:
@@ -734,7 +715,6 @@ class SweepEngine:
                           "trace": trace_on,
                           "journal": self.journal_path,
                           "kernels": list(self.kernels),
-                          "transport": self.transport,
                           "shard_bytes": self.shard_bytes}
             if self.snapshot is not None:
                 config_doc["snapshot"] = {
@@ -772,7 +752,7 @@ class SweepEngine:
             trace_id = self.metrics.run_id or f"sweep-{new_span_id()}"
             set_trace_context(trace_id)
             root_span = TRACER.span(
-                "sweep.run", jobs=self.jobs, transport=self.transport,
+                "sweep.run", jobs=self.jobs,
                 cells=len(all_cells)).__enter__()
             trace_ctx = (trace_id, root_span.span_id)
 
@@ -827,22 +807,30 @@ class SweepEngine:
                     consume(_run_matrix_task(task, config, cache=cache))
             else:
                 # one fresh pool per shard: tearing workers down at the
-                # shard boundary returns their RSS (and any shm
-                # segments / spilled matrices) before the next batch of
-                # matrices is put in flight, so peak memory tracks the
-                # largest shard, not the corpus
+                # shard boundary returns their RSS (and the spilled
+                # matrices) before the next batch of matrices is put in
+                # flight, so peak memory tracks the largest shard, not
+                # the corpus
                 shards = self._shard_tasks(tasks)
                 self.metrics.workers["shards"] = len(shards)
                 for shard in shards:
-                    packed = [self._pack_task(t) for t in shard]
+                    packed = []
+                    for task in shard:
+                        try:
+                            packed.append(self._pack_task(task))
+                        except Exception as exc:  # noqa: BLE001
+                            # disk full etc.: fail this matrix's cells
+                            # like a dead worker's, keep sweeping
+                            _fail_task(task, completed, failures,
+                                       journal, stage="storage",
+                                       error=type(exc).__name__,
+                                       message=str(exc), attempts=1)
                     self._run_pool(packed, config, completed, failures,
                                    consume, journal)
-                    self._release_segments()
                     self._release_spill()
         finally:
             if journal is not None:
                 journal.close()
-            self._release_segments()
             self._release_spill()
             if root_span is not None:
                 root_span.__exit__(None, None, None)
@@ -916,12 +904,21 @@ class SweepEngine:
 
     def _spill_matrix(self, entry) -> str:
         """Write an in-RAM matrix to the engine's temporary store so
-        the memmap transport can ship a path instead of bytes."""
+        the task can ship a path instead of bytes.
+
+        While the store exists, SIGTERM on the main thread raises
+        :class:`SystemExit`, so ``run()``'s ``finally`` still removes
+        it; a SIGKILLed engine leaks it.
+        """
         import tempfile
 
         from ..storage import format as _storage
 
         if self._spill_dir is None:
+            if threading.current_thread() is threading.main_thread():
+                prev = signal.signal(signal.SIGTERM, _exit_on_signal)
+                self._prev_sigterm = (signal.SIG_DFL if prev is None
+                                      else prev)
             self._spill_dir = tempfile.mkdtemp(prefix="repro_spill_")
         path = os.path.join(self._spill_dir, entry.name)
         if not os.path.isdir(path):
@@ -933,64 +930,33 @@ class SweepEngine:
     def _pack_task(self, task: _TaskSpec) -> _TaskSpec:
         """Strip the matrix out of a pool-bound task.
 
-        Under the memmap policy the task ships the path of a stored
-        matrix (the entry's own snapshot directory when it has one,
-        else a spill into a temporary store), timed into the
-        ``storage`` stage.  Otherwise the matrix is exported to a
-        shared-memory segment (engine-owned; workers attach zero-copy)
-        or, when shared memory is disabled or either export fails,
-        pickled explicitly — timed into ``serialize``.  Either way the
-        entry travels without its matrix payload, which never rides
-        the pool's pickle pipe twice.
+        The task ships the path of a stored matrix — the entry's own
+        snapshot directory when it has one, else a spill into the
+        temporary store — timed into the ``storage`` stage, so the
+        matrix payload never rides the pool's pickle pipe.  A failing
+        spill raises.
         """
-        transport, ref = "pickle", None
-        policy = self.transport
-        if policy == "auto":
-            policy = ("memmap" if getattr(task.entry, "storage_path",
-                                          None) else "shm")
-        if policy == "memmap":
-            t0 = time.perf_counter()
-            with span("storage", matrix=task.entry.name, side="engine"):
-                try:
-                    path = (getattr(task.entry, "storage_path", None)
-                            or self._spill_matrix(task.entry))
-                except Exception:  # noqa: BLE001 - disk full etc.
-                    path = None
-            self.metrics.stages["storage"] += time.perf_counter() - t0
-            if path is not None:
-                return replace(task, entry=self._strip_entry(task.entry),
-                               transport="memmap", matrix_ref=path)
-        a = task.entry.matrix
         t0 = time.perf_counter()
-        with span("serialize", matrix=task.entry.name, side="engine"):
-            if policy == "shm":
-                try:
-                    handle, seg = _shm.export_matrix(a)
-                except Exception:  # noqa: BLE001 - no /dev/shm etc.
-                    pass
-                else:
-                    self._segments.append(seg)
-                    transport, ref = "shm", handle
-            if ref is None:
-                ref = pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)
-        self.metrics.stages["serialize"] += time.perf_counter() - t0
+        with span("storage", matrix=task.entry.name, side="engine"):
+            path = (getattr(task.entry, "storage_path", None)
+                    or self._spill_matrix(task.entry))
+        self.metrics.stages["storage"] += time.perf_counter() - t0
         return replace(task, entry=self._strip_entry(task.entry),
-                       transport=transport, matrix_ref=ref)
-
-    def _release_segments(self) -> None:
-        for seg in self._segments:
-            _shm.unlink_segment(seg)
-        self._segments = []
+                       matrix_ref=path)
 
     def _release_spill(self) -> None:
         """Remove the temporary spill store (never a user snapshot —
         snapshot-backed entries ship their own directories, which this
-        engine does not own)."""
+        engine does not own) and restore the previous SIGTERM
+        handler."""
         if self._spill_dir is not None:
             import shutil
 
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
+        if self._prev_sigterm is not None:
+            signal.signal(signal.SIGTERM, self._prev_sigterm)
+            self._prev_sigterm = None
 
     def _run_pool(self, tasks, config, completed, failures, consume,
                   journal) -> None:
@@ -1010,19 +976,14 @@ class SweepEngine:
         max_rounds = self.retries + len(tasks)
         rounds = 0
 
-        def fail_pending(index: int, attempts: int) -> None:
-            task = pending.pop(index)
-            for cell in sorted(task.pending):
-                if cell in completed:
-                    continue
-                failures.append(FailedCell(
-                    matrix=cell[0], ordering=cell[1], kernel=cell[2],
-                    architecture=cell[3], stage="worker",
-                    error="WorkerDied",
-                    message="worker process died while computing this "
-                            "task's cells", attempts=attempts))
-                if journal is not None:
-                    journal.append_failure(failures[-1])
+        def fail_pending(index: int, attempts: int,
+                         error: str = "WorkerDied",
+                         message: str = "worker process died while "
+                                        "computing this task's cells"
+                         ) -> None:
+            _fail_task(pending.pop(index), completed, failures, journal,
+                       stage="worker", error=error, message=message,
+                       attempts=attempts)
 
         while pending:
             broke = False
@@ -1033,28 +994,30 @@ class SweepEngine:
                         initargs=(config,)) as pool:
                     futures = {pool.submit(_pool_run, t): i
                                for i, t in pending.items()}
-                    for fut in as_completed(futures):
-                        index = futures[fut]
-                        try:
-                            outcome = fut.result()
-                        except BrokenProcessPool:
-                            broke = True
-                            continue  # stays pending; retried next round
-                        except Exception as exc:  # noqa: BLE001
-                            # the task function itself is
-                            # exception-free, so this is infrastructure
-                            # (e.g. an outcome that failed to
-                            # unpickle): fail its cells
-                            failures_before = len(failures)
-                            fail_pending(index, attempts=1)
-                            for f in failures[failures_before:]:
-                                object.__setattr__(f, "error",
-                                                   type(exc).__name__)
-                                object.__setattr__(f, "message",
-                                                   str(exc))
-                            continue
-                        consume(outcome)
-                        del pending[index]
+                    try:
+                        for fut in as_completed(futures):
+                            index = futures[fut]
+                            try:
+                                outcome = fut.result()
+                            except BrokenProcessPool:
+                                broke = True
+                                continue  # stays pending; next round
+                            except Exception as exc:  # noqa: BLE001
+                                # the task function itself is
+                                # exception-free, so this is
+                                # infrastructure (e.g. an outcome that
+                                # failed to unpickle): fail its cells
+                                fail_pending(index, attempts=1,
+                                             error=type(exc).__name__,
+                                             message=str(exc))
+                                continue
+                            consume(outcome)
+                            del pending[index]
+                    except BaseException:
+                        # SIGTERM / Ctrl-C: drop the queued tasks so the
+                        # pool's exit waits only for those in flight
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        raise
             except BrokenProcessPool:
                 broke = True  # pool died during submission
             if not pending:
@@ -1074,8 +1037,8 @@ class SweepEngine:
                     fail_pending(index, attempts=rounds)
                 return
             # shrink resubmitted tasks by everything consumed so far
-            # (replace() keeps the transport and matrix_ref: a rebuilt
-            # pool's fresh workers re-attach to the same segments)
+            # (replace() keeps matrix_ref: a rebuilt pool's fresh
+            # workers re-attach the same stored matrix)
             for index, task in list(pending.items()):
                 still = frozenset(c for c in task.pending
                                   if c not in completed)

@@ -137,14 +137,15 @@ class OrderingCache:
     @staticmethod
     def _load(f: str):
         """Read one disk entry; a corrupt/truncated file is a miss (it
-        will be recomputed and overwritten), not a crash."""
+        will be recomputed and overwritten), not a crash.  The file is
+        opened here so it is closed even when ``np.load`` raises."""
         try:
-            data = np.load(f)
-            return OrderingResult(
-                algorithm=str(data["algorithm"]),
-                perm=data["perm"],
-                symmetric=bool(data["symmetric"]),
-                seconds=float(data["seconds"]))
+            with open(f, "rb") as fh, np.load(fh) as data:
+                return OrderingResult(
+                    algorithm=str(data["algorithm"]),
+                    perm=data["perm"],
+                    symmetric=bool(data["symmetric"]),
+                    seconds=float(data["seconds"]))
         except Exception:
             return None
 

@@ -34,7 +34,7 @@ from .cachestats import (CACHE_STATS_KEYS, CacheStatCounters, cache_stats,
                          sizeof_value)
 from .log import get_logger, setup_cli_logging
 from .manifest import RunManifest, collect
-from .metrics import (REGISTRY, Counter, CounterView, Gauge, Histogram,
+from .metrics import (REGISTRY, Counter, Gauge, Histogram,
                       MetricsRegistry, get_registry, log_buckets)
 from .perf import (BenchLedger, bench_record, compare_ledgers,
                    compare_records, metric, run_builtin_bench)
@@ -44,7 +44,7 @@ from .trace import TRACER, Tracer, disable, enable, is_enabled, span
 __all__ = [
     "CACHE_STATS_KEYS", "CacheStatCounters", "cache_stats",
     "sizeof_value", "get_logger", "setup_cli_logging", "RunManifest",
-    "collect", "REGISTRY", "Counter", "CounterView", "Gauge",
+    "collect", "REGISTRY", "Counter", "Gauge",
     "Histogram", "MetricsRegistry", "get_registry", "log_buckets",
     "BenchLedger", "bench_record", "compare_ledgers", "compare_records",
     "metric", "run_builtin_bench", "ProfilerError", "SamplingProfiler",

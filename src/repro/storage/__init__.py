@@ -2,14 +2,14 @@
 
 * :mod:`repro.storage.format` — the chunked on-disk CSR format
   (versioned header, per-array CRC32s, atomic directory commit) and
-  the read-only ``np.memmap`` attach path the sweep engine's
-  ``memmap`` transport uses.
+  the read-only ``np.memmap`` attach path the sweep engine's pool
+  workers use.
 * :mod:`repro.storage.snapshot` — content-addressed corpus snapshots:
   deterministic build/reuse/quarantine/regenerate of whole tiers,
   including the streamed ``xl`` (10⁷–10⁸ nnz) tier that never exists
   in RAM.
 
-See ``docs/storage.md`` for the format, the transport matrix and the
+See ``docs/storage.md`` for the format, the pool transport and the
 RSS-budgeting model.
 """
 

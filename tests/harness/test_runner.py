@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,29 @@ def test_ordering_cache_disk_roundtrip(tiny_corpus, tmp_path):
     assert np.array_equal(r1.perm, r2.perm)
     assert r2.algorithm == "RCM"
     assert r2.symmetric
+
+
+def test_disk_cache_hit_raises_no_resource_warning(tiny_corpus, tmp_path,
+                                                   monkeypatch):
+    """Disk hits and corrupt entries both close their file: a leaked
+    handle warns when collected, which ``error`` turns into an
+    unraisable exception."""
+    e = tiny_corpus[0]
+    OrderingCache(path=str(tmp_path)).get(e.matrix, e.name, "RCM")
+    npz = next(tmp_path.glob("*.npz"))
+    leaks = []
+    monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        hit = OrderingCache(path=str(tmp_path))
+        hit.get(e.matrix, e.name, "RCM")
+        assert hit.stats["disk_hits"] == 1
+        npz.write_bytes(npz.read_bytes()[:100])
+        corrupt = OrderingCache(path=str(tmp_path))
+        corrupt.get(e.matrix, e.name, "RCM")
+        assert corrupt.stats["misses"] == 1
+        gc.collect()
+    assert [str(u.exc_value) for u in leaks] == []
 
 
 def test_model_factory_hook(tiny_corpus):
