@@ -3,7 +3,7 @@
 The machine model's workload axis (:mod:`repro.machine.workloads`) is
 closed-form on top of the SpMV prediction, so every number here is
 deterministic and machine-independent.  The recorded ledger entry
-carries them as *exact* metrics: the CI ``workloads-smoke`` job replays
+carries them as *exact* metrics: the CI ``check`` job replays
 this bench and gates with ``repro perf compare --kinds exact`` against
 the committed ``benchmarks/baselines/BENCH_workloads.json`` — any
 drift in the scoring formulas (or in the SpMV model underneath them)

@@ -2,9 +2,9 @@
 
 The advisor predicts from one flat vector combining four ingredients:
 
-* the size-independent structural features of :mod:`repro.analysis.predict`
-  (relative bandwidth, off-diagonal fraction, imbalance, density, row
-  CV) plus scale and profile terms from :mod:`repro.features`,
+* size-independent structural features built from :mod:`repro.features`
+  (relative bandwidth and profile, off-diagonal fraction, imbalance,
+  density, row-length CV) plus log-scale size terms,
 * descriptors of the target machine (core count, per-core bandwidth,
   per-thread cache, clock, socket count) from :mod:`repro.machine.arch`,
 * a kernel indicator (1D row-split vs 2D nonzero-split),
@@ -22,9 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.predict import extract_features
 from ..errors import AdvisorError
-from ..features import profile
+from ..features import (
+    bandwidth,
+    imbalance_factor_1d,
+    offdiagonal_nonzeros,
+    profile,
+)
 from ..machine.arch import Architecture
 from ..matrix.csr import CSRMatrix
 from ..spmv.registry import DEFAULT_WORKLOAD, KERNELS, WORKLOADS
@@ -62,17 +66,20 @@ FEATURE_NAMES = MATRIX_FEATURE_NAMES + ARCH_FEATURE_NAMES \
 
 def matrix_features(a: CSRMatrix, nthreads: int) -> np.ndarray:
     """The architecture-independent part (depends only on ``nthreads``)."""
-    f = extract_features(a, nthreads)
-    rel_profile = profile(a) / max(a.nrows * max(a.ncols, 1), 1)
+    if a.nrows == 0:
+        raise AdvisorError("cannot featurize an empty matrix")
+    lengths = a.row_lengths().astype(np.float64)
+    mean_len = lengths.mean()
+    row_cv = float(lengths.std() / mean_len) if mean_len else 0.0
     return np.array([
         np.log1p(a.nrows),
         np.log1p(a.nnz),
-        f.rel_bandwidth,
-        rel_profile,
-        f.rel_offdiag,
-        f.imbalance_1d,
-        f.density / 64.0,
-        f.row_cv,
+        bandwidth(a) / max(a.nrows, 1),
+        profile(a) / max(a.nrows * max(a.ncols, 1), 1),
+        offdiagonal_nonzeros(a, nthreads) / max(a.nnz, 1),
+        imbalance_factor_1d(a, nthreads),
+        float(a.nnz / max(a.nrows, 1)) / 64.0,
+        row_cv,
     ])
 
 

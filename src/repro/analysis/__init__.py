@@ -9,11 +9,6 @@
 from .stats import boxplot_summary, geomean, speedup_quartiles
 from .perfprofile import performance_profile, profile_at
 from .classes import classify_matrix, CLASS_DESCRIPTIONS
-from .predict import (
-    NearestCentroidPredictor,
-    extract_features,
-    recommend_ordering,
-)
 
 __all__ = [
     "geomean",
@@ -23,7 +18,4 @@ __all__ = [
     "profile_at",
     "classify_matrix",
     "CLASS_DESCRIPTIONS",
-    "NearestCentroidPredictor",
-    "extract_features",
-    "recommend_ordering",
 ]

@@ -644,9 +644,6 @@ class SweepEngine:
         #: temporary on-disk store for in-RAM matrices shipped to pool
         #: workers (never a user snapshot; removed in ``run()``)
         self._spill_dir: str | None = None
-        #: SIGTERM handler to restore once the spill store is gone
-        #: (``None``: none installed)
-        self._prev_sigterm = None
 
     # -- cell enumeration ---------------------------------------------
     def signature(self) -> dict:
@@ -799,6 +796,13 @@ class SweepEngine:
                 self.progress(done_cells, len(all_cells), len(failures),
                               time.perf_counter() - t_start)
 
+        # a pool run turns SIGTERM into SystemExit, so the finally below
+        # still drains the pool (its workers exit instead of blocking on
+        # the call queue) and removes the spill store
+        own_sigterm = (use_pool and threading.current_thread()
+                       is threading.main_thread())
+        if own_sigterm:
+            prev_sigterm = signal.signal(signal.SIGTERM, _exit_on_signal)
         try:
             if not use_pool:
                 cache = self.cache or OrderingCache()
@@ -832,6 +836,9 @@ class SweepEngine:
             if journal is not None:
                 journal.close()
             self._release_spill()
+            if own_sigterm:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL
+                              if prev_sigterm is None else prev_sigterm)
             if root_span is not None:
                 root_span.__exit__(None, None, None)
                 clear_trace_context()
@@ -906,19 +913,14 @@ class SweepEngine:
         """Write an in-RAM matrix to the engine's temporary store so
         the task can ship a path instead of bytes.
 
-        While the store exists, SIGTERM on the main thread raises
-        :class:`SystemExit`, so ``run()``'s ``finally`` still removes
-        it; a SIGKILLed engine leaks it.
+        ``run()``'s ``finally`` removes the store, SIGTERM included; a
+        SIGKILLed engine leaks it.
         """
         import tempfile
 
         from ..storage import format as _storage
 
         if self._spill_dir is None:
-            if threading.current_thread() is threading.main_thread():
-                prev = signal.signal(signal.SIGTERM, _exit_on_signal)
-                self._prev_sigterm = (signal.SIG_DFL if prev is None
-                                      else prev)
             self._spill_dir = tempfile.mkdtemp(prefix="repro_spill_")
         path = os.path.join(self._spill_dir, entry.name)
         if not os.path.isdir(path):
@@ -947,16 +949,12 @@ class SweepEngine:
     def _release_spill(self) -> None:
         """Remove the temporary spill store (never a user snapshot —
         snapshot-backed entries ship their own directories, which this
-        engine does not own) and restore the previous SIGTERM
-        handler."""
+        engine does not own)."""
         if self._spill_dir is not None:
             import shutil
 
             shutil.rmtree(self._spill_dir, ignore_errors=True)
             self._spill_dir = None
-        if self._prev_sigterm is not None:
-            signal.signal(signal.SIGTERM, self._prev_sigterm)
-            self._prev_sigterm = None
 
     def _run_pool(self, tasks, config, completed, failures, consume,
                   journal) -> None:
@@ -992,9 +990,9 @@ class SweepEngine:
                         max_workers=min(self.jobs, len(pending)),
                         initializer=_pool_init,
                         initargs=(config,)) as pool:
-                    futures = {pool.submit(_pool_run, t): i
-                               for i, t in pending.items()}
                     try:
+                        futures = {pool.submit(_pool_run, t): i
+                                   for i, t in pending.items()}
                         for fut in as_completed(futures):
                             index = futures[fut]
                             try:
@@ -1014,9 +1012,14 @@ class SweepEngine:
                             consume(outcome)
                             del pending[index]
                     except BaseException:
-                        # SIGTERM / Ctrl-C: drop the queued tasks so the
-                        # pool's exit waits only for those in flight
-                        pool.shutdown(wait=False, cancel_futures=True)
+                        # SIGTERM / Ctrl-C, during submission too:
+                        # drop the queued tasks and wait only for
+                        # those in flight.  This must wait here: the
+                        # with-exit's own shutdown() resets
+                        # cancel_futures, and if it ran before the
+                        # pool's manager thread saw the request, every
+                        # queued task would still run
+                        pool.shutdown(wait=True, cancel_futures=True)
                         raise
             except BrokenProcessPool:
                 broke = True  # pool died during submission

@@ -82,7 +82,8 @@ def test_torn_journal_recomputes_only_the_torn_cell(
     _, clean = _run(tiny_corpus, rome, journal=journal)
 
     # kill mid-write: truncate the file inside its final record line
-    raw = open(journal, "rt").readlines()
+    with open(journal, "rt") as f:
+        raw = f.readlines()
     torn = "".join(raw[:-1]) + raw[-1][: len(raw[-1]) // 2]
     with open(journal, "wt") as f:
         f.write(torn)

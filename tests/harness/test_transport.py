@@ -9,7 +9,8 @@ an engine-owned temporary store.  Covered here:
   serial inline run, and so does an interrupted pool sweep resumed;
 * **lifecycle**: the spill store is removed after a normal run, after
   a worker is SIGKILLed mid-cell, and after the engine itself gets
-  SIGTERM; a spill that fails turns that matrix's cells into
+  SIGTERM, which also takes its pool workers down (over a snapshot
+  too); a spill that fails turns that matrix's cells into
   ``stage="storage"`` failures and the sweep goes on;
 * the byte-bounded shard scheduler and the ``mapped_bytes`` accounting
   of memmap-backed ordering-cache entries.
@@ -305,6 +306,8 @@ def test_interrupted_resume_reattaches_over_memmap(tiny_corpus, rome,
 #: matrices in the SIGTERM test's sweep; each task sleeps 1 s
 _SIGTERM_MATRICES = 10
 
+#: argv: the ``started`` dir, then an optional snapshot to sweep
+#: instead of the in-RAM corpus
 _SIGTERM_SCRIPT = textwrap.dedent(f"""
     import os
     import pathlib
@@ -315,6 +318,7 @@ _SIGTERM_SCRIPT = textwrap.dedent(f"""
     from repro.harness.engine import SweepEngine
     from repro.machine import get_architecture
     from repro.reorder import registry
+    from repro.storage import open_corpus_snapshot
 
     started = pathlib.Path(sys.argv[1])
 
@@ -324,43 +328,89 @@ _SIGTERM_SCRIPT = textwrap.dedent(f"""
         return registry.ORDERING_FUNCS["RCM"](a)
 
     registry.ORDERING_FUNCS["Slow"] = slow
-    corpus = build_corpus("tiny", seed=0)[:{_SIGTERM_MATRICES}]
+    snap = open_corpus_snapshot(sys.argv[2]) if len(sys.argv) > 2 else None
+    corpus = (list(snap.entries) if snap is not None
+              else build_corpus("tiny", seed=0)[:{_SIGTERM_MATRICES}])
     SweepEngine(corpus, [get_architecture("Rome")], ["Slow"],
-                kernels=("1d",), jobs=2).run()
+                kernels=("1d",), jobs=2, snapshot=snap).run()
 """)
 
 
-@pytest.mark.slow
-def test_sigterm_removes_spill_store(tmp_path):
-    """SIGTERM to the engine mid-sweep still removes its spill store
-    (SIGKILL cannot: that case leaks it), and queued tasks never
-    start."""
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs, read from Linux procfs (a zombie
+    awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _sigterm_pool_sweep(tmp_path, snapshot: bool) -> None:
+    """SIGTERM a 2-worker sweep once its first task started; it must
+    exit with status 143, never start its queued tasks, leave no spill
+    store, and take its workers down instead of leaving them blocked
+    on the call queue."""
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     started = tmp_path / "started"
     started.mkdir()
+    argv = [sys.executable, "-c", _SIGTERM_SCRIPT, str(started)]
+    if snapshot:
+        snap = tmp_path / "snap"
+        ensure_corpus_snapshot(str(snap), tier="tiny", seed=0,
+                               limit=_SIGTERM_MATRICES)
+        argv.append(str(snap))
     env = dict(os.environ, TMPDIR=str(tmpdir))
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     log = tmp_path / "stderr.txt"
-    with open(log, "w") as err, subprocess.Popen(
-            [sys.executable, "-c", _SIGTERM_SCRIPT, str(started)],
-            env=env, stdout=subprocess.DEVNULL, stderr=err) as proc:
-        try:
-            deadline = time.monotonic() + 120
-            while not any(started.iterdir()):
-                assert proc.poll() is None, log.read_text()
-                assert time.monotonic() < deadline, "no worker started"
-                time.sleep(0.05)
-            assert len(_spill_dirs(tmpdir)) == 1  # the store is live
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+    workers: set = set()
+    try:
+        with open(log, "w") as err, subprocess.Popen(
+                argv, env=env, stdout=subprocess.DEVNULL,
+                stderr=err) as proc:
+            try:
+                deadline = time.monotonic() + 120
+                while not any(started.iterdir()):
+                    assert proc.poll() is None, log.read_text()
+                    assert time.monotonic() < deadline, \
+                        "no worker started"
+                    time.sleep(0.05)
+                # the store is live for an in-RAM corpus; a snapshot
+                # ships its own directories and spills nothing
+                assert len(_spill_dirs(tmpdir)) == (0 if snapshot else 1)
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        workers = {int(p.name.split("_")[0]) for p in started.iterdir()}
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        leaked = sorted(filter(_alive, workers))
+        assert leaked == [], f"workers outlived the engine: {leaked}"
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
     assert proc.returncode == 128 + signal.SIGTERM, log.read_text()
     assert _spill_dirs(tmpdir) == [], "SIGTERM leaked the spill store"
     assert len(list(started.iterdir())) < _SIGTERM_MATRICES
+
+
+@pytest.mark.slow
+def test_sigterm_removes_spill_store(tmp_path):
+    """An in-RAM corpus: the spill store is live when SIGTERM lands and
+    is removed on the way out (SIGKILL cannot: that case leaks it)."""
+    _sigterm_pool_sweep(tmp_path, snapshot=False)
+
+
+@pytest.mark.slow
+def test_sigterm_over_snapshot_stops_workers(tmp_path):
+    """A snapshot-backed sweep spills nothing, yet SIGTERM still exits
+    its engine cleanly and takes the pool workers down with it."""
+    _sigterm_pool_sweep(tmp_path, snapshot=True)
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,8 @@ def test_write_load_roundtrip(tmp_path):
     loaded = RunManifest.load(path)
     assert loaded == man
     # the on-disk form is sorted, indented JSON
-    data = json.loads(open(path).read())
+    with open(path) as f:
+        data = json.load(f)
     assert RunManifest.validate(data) == []
 
 

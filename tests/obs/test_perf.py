@@ -58,7 +58,8 @@ def test_ledger_append_and_latest(tmp_path):
     assert len(ledger.records("b")) == 2
     assert ledger.latest()["b"]["metrics"]["m"]["value"] == 1.5
     # the file is plain versioned JSON
-    doc = json.load(open(ledger.path))
+    with open(ledger.path) as f:
+        doc = json.load(f)
     assert doc["version"] == 1 and len(doc["records"]) == 2
 
 

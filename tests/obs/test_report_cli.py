@@ -34,16 +34,21 @@ def traced_run(tmp_path):
     return paths
 
 
+def _read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def test_traced_sweep_leaves_all_four_artifacts(traced_run):
-    trace = json.load(open(traced_run["trace"]))
+    trace = _read_json(traced_run["trace"])
     names = {ev["name"] for ev in trace["traceEvents"]}
     assert names >= {"reorder", "reuse_stats", "model_eval"}
     # the crash-safe sidecar mirrors the same events line by line
-    sidecar = [json.loads(ln)
-               for ln in open(traced_run["trace"] + "l")]
+    with open(traced_run["trace"] + "l") as f:
+        sidecar = [json.loads(ln) for ln in f]
     assert len(sidecar) == len(trace["traceEvents"])
-    metrics = json.load(open(traced_run["metrics"]))
-    manifest = json.load(open(traced_run["manifest"]))
+    metrics = _read_json(traced_run["metrics"])
+    manifest = _read_json(traced_run["manifest"])
     assert metrics["run_id"] == manifest["run_id"]
     assert "reuse.builds" in metrics["registry"]
 

@@ -115,7 +115,8 @@ def test_merge_traces_sorts_and_correlates(tmp_path):
     out = tmp_path / "merged.json"
     n = merge_traces([str(client), str(server)], str(out))
     assert n == 3
-    merged = json.load(open(out))["traceEvents"]
+    with open(out) as f:
+        merged = json.load(f)["traceEvents"]
     assert [(e["pid"], e["ts"]) for e in merged] == \
         sorted((e["pid"], e["ts"]) for e in merged)
     # one causally-linked timeline: ids resolve across processes now

@@ -227,8 +227,8 @@ def test_port_zero_picks_a_free_port(advisor, corpus):
     with open_daemon(advisor, corpus) as a, \
             open_daemon(advisor, corpus) as b:
         assert a.port != b.port
-        assert ServeClient("127.0.0.1", a.port).healthz()["status"] \
-            == "ok"
+        with ServeClient("127.0.0.1", a.port) as client:
+            assert client.healthz()["status"] == "ok"
 
 
 def test_startup_rejects_unknown_default_arch(advisor, corpus):
