@@ -3,12 +3,14 @@
 Measures the same grid twice — every (matrix, ordering) variant of the
 corpus under all eight architectures and both kernels:
 
-* **legacy**: fresh matrix objects and ``fastpath=False`` models, i.e.
-  per-cell schedule rebuilds and the per-thread, per-window
-  ``np.unique`` working-set loop;
-* **fast**: :func:`repro.machine.bench.simulate_many`, where one
+* **legacy**: fresh matrix objects under
+  :func:`repro.util.fastpath.reference_mode`, i.e. per-cell schedule
+  rebuilds and the per-thread, per-window ``np.unique`` working-set
+  loop;
+* **fast**: :func:`repro.machine.bench.simulate_measurement` per cell
+  on one fresh matrix object per variant, where its memoised
   :class:`~repro.machine.reuse.ReuseStats` pass and the per-matrix
-  schedule cache serve all cells of a variant.
+  schedule cache serve all cells of the variant.
 
 The two record lists must be bit-identical.  The regression gate is
 *counter-based*, not wall-time-based (CI machines are noisy): the fast
@@ -25,11 +27,12 @@ import time
 import numpy as np
 
 from repro.harness.experiments import REORDERINGS
-from repro.machine.bench import simulate_many, simulate_measurement
+from repro.machine.bench import simulate_measurement
 from repro.machine.model import PerfModel
 from repro.matrix.csr import CSRMatrix
 from repro.obs.metrics import REGISTRY
 from repro.util import format_table
+from repro.util.fastpath import reference_mode
 
 from conftest import SEED, TIER
 
@@ -84,14 +87,14 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
     thread_counts = {a.threads for a in archs}
 
     # -- legacy pass: per-cell recomputation ---------------------------
-    legacy_models = [PerfModel(a, fastpath=False) for a in archs]
-    with _UniqueCounter() as legacy_unique:
+    models = [PerfModel(a) for a in archs]
+    with reference_mode(), _UniqueCounter() as legacy_unique:
         t0 = time.perf_counter()
         legacy_records = [
             simulate_measurement(_fresh(m), arch, kernel, label, "",
                                  model=model)
             for label, m in variants
-            for arch, model in zip(archs, legacy_models)
+            for arch, model in zip(archs, models)
             for kernel in ("1d", "2d")]
         legacy_s = time.perf_counter() - t0
 
@@ -101,8 +104,12 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
         t0 = time.perf_counter()
         fast_records = []
         for label, m in variants:
+            b = _fresh(m)
             fast_records.extend(
-                simulate_many(_fresh(m), archs, matrix_name=label))
+                simulate_measurement(b, arch, kernel, label, "",
+                                     model=model)
+                for arch, model in zip(archs, models)
+                for kernel in ("1d", "2d"))
         fast_s = time.perf_counter() - t0
     counters_after = REGISTRY.values()
     delta = {k: counters_after[k] - counters_before.get(k, 0)

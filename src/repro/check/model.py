@@ -4,14 +4,15 @@ The model has two layers of "clever" code that must stay bit-identical
 to their naive definitions:
 
 * the **reuse primitives** (:mod:`repro.machine.reuse`) — one-argsort
-  previous-occurrence arrays, vectorised per-window distinct counts and
-  merge-counted LRU stack distances.  Each is cross-validated against a
-  naive per-element Python oracle (dict of last positions, per-window
-  sets, an explicit LRU stack);
-* the **batched fast path** — ``predict_many`` / ``simulate_many``
-  share one :class:`ReuseStats` pass and memoised schedules; their
-  output must equal naive per-cell evaluation with ``fastpath=False``
-  reference models, cell by cell, bit for bit.
+  previous-occurrence arrays, the vectorised all-threads windowed
+  working-set loads and merge-counted LRU stack distances.  Each is
+  cross-validated against a naive per-element Python oracle (dict of
+  last positions, per-window sets, an explicit LRU stack);
+* the **batched fast path** — ``predict_many`` shares one
+  :class:`ReuseStats` pass and memoised schedules; its output must
+  equal naive per-cell evaluation on the reference loop
+  (:func:`repro.util.fastpath.reference_mode`), cell by cell, bit for
+  bit.
 
 The memoised :class:`ReuseStats` container is additionally checked
 against a from-scratch rebuild on an equal-but-distinct matrix object,
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine import bench as bench_mod
 from ..machine import model as model_mod
 from ..machine import reuse as reuse_mod
 from ..machine.arch import get_architecture
 from ..matrix.csr import CSRMatrix
 from ..obs.trace import span
 from ..spmv import schedule_1d, schedule_2d
+from ..util.fastpath import reference_mode
 from .findings import CheckReport
 
 SUITE = "model"
@@ -54,11 +55,23 @@ def _naive_prev(stream) -> np.ndarray:
     return prev
 
 
-def _naive_windowed_distinct(stream, window: int) -> int:
-    total = 0
-    for start in range(0, len(stream), window):
-        total += len(set(int(v) for v in stream[start:start + window]))
-    return total
+def _naive_window_loads(stream, bounds, capacity: int) -> list:
+    """The model's windowed working-set loads of each thread's slice
+    ``stream[bounds[t]:bounds[t+1]]``, by per-window sets."""
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = [int(v) for v in stream[lo:hi]]
+        distinct = len(set(part))
+        if distinct <= capacity:
+            out.append(distinct)
+            continue
+        density = distinct / len(part)
+        window = max(int(capacity / max(density, 0.05)), capacity)
+        loads = sum(len(set(part[s:s + window]))
+                    for s in range(0, len(part), window))
+        out.append(int(distinct
+                       + reuse_mod.LOCALITY_WEIGHT * (loads - distinct)))
+    return out
 
 
 def _naive_stack_distances(stream) -> np.ndarray:
@@ -97,15 +110,21 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
                 "argsort-based previous-occurrence differs from the "
                 "dict-of-last-positions oracle")
 
-            for window in (1, 7, 64):
-                got = reuse_mod.windowed_distinct_loads(prev, window)
-                naive = _naive_windowed_distinct(small, window)
-                report.check(
-                    got == naive, SUITE,
-                    "windowed-distinct-matches-naive",
-                    f"{subject} window={window}",
-                    f"vectorised count {got} != per-window set oracle "
-                    f"{naive}")
+            positions = np.arange(small.size, dtype=np.int64)
+            for bounds in ((0, small.size),
+                           (0, small.size // 3, small.size // 2,
+                            small.size)):
+                for capacity in (1, 7, 64):
+                    got = reuse_mod.thread_window_loads(
+                        prev, np.array(bounds), capacity, positions)
+                    naive = _naive_window_loads(small, bounds, capacity)
+                    report.check(
+                        got.tolist() == naive, SUITE,
+                        "windowed-distinct-matches-naive",
+                        f"{subject} threads={len(bounds) - 1} "
+                        f"capacity={capacity}",
+                        f"vectorised loads {got.tolist()} != per-window "
+                        f"set oracle {naive}")
 
             got = reuse_mod.stack_distances(prev)
             naive = _naive_stack_distances(small)
@@ -134,9 +153,9 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
 
 
 def _check_cells(report, name, a, archs, nthreads=None) -> None:
-    """``predict_many`` on ``a`` vs a ``fastpath=False`` reference on a
-    fresh copy, cell by cell, bit for bit (at each architecture's own
-    thread count unless ``nthreads`` is given)."""
+    """``predict_many`` on ``a`` vs the reference loop on a fresh copy,
+    cell by cell, bit for bit (at each architecture's own thread count
+    unless ``nthreads`` is given)."""
     preds = model_mod.predict_many(
         a, archs, kernels=("1d", "2d"),
         nthreads=None if nthreads is None else (nthreads,))
@@ -145,10 +164,11 @@ def _check_cells(report, name, a, archs, nthreads=None) -> None:
         for kernel in ("1d", "2d"):
             subject = (f"matrix={name} arch={arch.name} "
                        f"kernel={kernel} nthreads={nt}")
-            reference = model_mod.PerfModel(arch, fastpath=False)
             schedule = (schedule_1d(a, nt) if kernel == "1d"
                         else schedule_2d(a, nt))
-            want = reference.predict(_fresh_copy(a), schedule)
+            with reference_mode():
+                want = model_mod.PerfModel(arch).predict(
+                    _fresh_copy(a), schedule)
             got = preds[(arch.name, kernel, nt)]
             report.check(
                 got.seconds == want.seconds
@@ -171,25 +191,13 @@ def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
     archs = [get_architecture(n) for n in architectures]
     window_archs = [get_architecture(n) for n in WINDOW_ARCHS]
     report = CheckReport(suites=[SUITE])
-    with span("check.model.fastpath"):
+    with span("check.model.cells"):
         for name, a in matrices:
             if a.nnz == 0:
                 continue  # the model is defined over nonempty matrices
             _check_cells(report, name, a, archs)
             _check_cells(report, name, a, window_archs,
                          nthreads=WINDOW_THREADS)
-
-            batched = bench_mod.simulate_many(
-                a, archs, kernels=("1d", "2d"), matrix_name=name,
-                ordering_name="original")
-            single = [bench_mod.simulate_measurement(
-                          a, arch, kernel, name, "original")
-                      for arch in archs for kernel in ("1d", "2d")]
-            report.check(
-                batched == single, SUITE,
-                "simulate-many-matches-per-cell", f"matrix={name}",
-                "batched measurement records differ from per-cell "
-                "simulate_measurement calls")
     return report
 
 

@@ -450,19 +450,17 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                       arch.name) in task.pending]
         if not wanted:
             return
-        reuse = None
-        if any(model.fastpath for _, model, _ in wanted):
-            # materialise the shared statistics up front so their cost
-            # lands in the reuse_stats stage, not a random first cell
-            hot_lines = sorted({arch.line_size // 8
-                                for arch, model, _ in wanted
-                                if model.fastpath and model.locality_term})
-            t0 = time.perf_counter()
-            with span("reuse_stats", matrix=entry.name,
-                      ordering=ordering_name):
-                reuse = ReuseStats.for_matrix(matrix)
-                reuse.prepare(hot_lines if matrix.nnz else ())
-            timings["reuse_stats"] += time.perf_counter() - t0
+        # materialise the shared statistics up front so their cost
+        # lands in the reuse_stats stage, not a random first cell
+        hot_lines = sorted({arch.line_size // 8
+                            for arch, model, _ in wanted
+                            if model.locality_term})
+        t0 = time.perf_counter()
+        with span("reuse_stats", matrix=entry.name,
+                  ordering=ordering_name):
+            reuse = ReuseStats.for_matrix(matrix)
+            reuse.prepare(hot_lines if matrix.nnz else ())
+        timings["reuse_stats"] += time.perf_counter() - t0
         for arch, model, kernel in wanted:
             cell = (entry.name, ordering_name, kernel, arch.name)
             t0 = time.perf_counter()
@@ -473,8 +471,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                              arch=arch.name):
                     rec = simulate_measurement(
                         matrix, arch, kernel, entry.name, ordering_name,
-                        model=model,
-                        reuse=reuse if model.fastpath else None)
+                        model=model, reuse=reuse)
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 failures.append(FailedCell(
                     matrix=entry.name, ordering=ordering_name,

@@ -26,7 +26,7 @@ from .cache import LRUCache
 from .model import PerfModel, SpmvPrediction, predict_many
 from .numa import NumaModel
 from .reuse import ReuseStats
-from .bench import MeasurementRecord, simulate_many, simulate_measurement
+from .bench import MeasurementRecord, simulate_measurement
 from .workloads import WorkloadPrediction, predict_workload
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "WorkloadPrediction",
     "predict_many",
     "predict_workload",
-    "simulate_many",
     "simulate_measurement",
 ]

@@ -27,6 +27,7 @@ from ..spmv.schedule import (
     schedule_2d,
     schedule_merge,
 )
+from ..util.fastpath import fast_enabled
 from .arch import Architecture
 from .model import PerfModel
 from .reuse import ReuseStats
@@ -76,16 +77,23 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
     """Run the model on ``a`` and package the artifact-shaped record.
 
     ``reuse`` optionally threads precomputed per-(matrix, ordering)
-    statistics through to the model so batched callers (the sweep
-    engine, :func:`simulate_many`) share one statistics pass across
-    all architectures and kernels.  With a fast-path model the thread
-    schedule is likewise served from the per-matrix schedule cache; a
-    ``fastpath=False`` reference model keeps the historical
-    rebuild-per-call behaviour (the fast-path benchmark times both).
+    statistics through to the model; without it the model serves them
+    from the matrix's memo, so every cell of one matrix object shares
+    one statistics pass either way.  The thread schedule is likewise
+    served from the per-matrix schedule cache, except under
+    :func:`repro.util.fastpath.reference_mode`, which keeps the
+    historical rebuild-per-call behaviour (the fast-path benchmark
+    times both).
+
+    ``kernel`` is a workload spec
+    (:func:`repro.spmv.registry.resolve_workload`): the historical
+    kernel kinds score one SpMV, while ``"cg"``/``"jacobi"``/
+    ``"spgemm"``/``"spmm"`` (optionally ``":kind"``-suffixed) score
+    that workload on the same schedule.
     """
     workload, kind = resolve_workload(kernel)
     model = model if model is not None else PerfModel(arch)
-    if model.fastpath:
+    if fast_enabled():
         schedule = get_schedule(a, kind, arch.threads)
     elif kind == "1d":
         schedule = schedule_1d(a, arch.threads)
@@ -119,28 +127,3 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
         gflops_mean=gflops * MEAN_PERF_FACTOR,
         workload=workload,
     )
-
-
-def simulate_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
-                  matrix_name: str = "", ordering_name: str = "",
-                  model_factory=None) -> list:
-    """Batched :func:`simulate_measurement` over architectures × kernels.
-
-    One :class:`ReuseStats` pass serves every cell, and schedules are
-    shared between architectures with equal core counts.  Records come
-    back in (architecture, kernel) iteration order and are bit-identical
-    to per-cell ``simulate_measurement`` calls.
-
-    ``kernels`` entries are workload specs
-    (:func:`repro.spmv.registry.resolve_workload`): the historical
-    kernel kinds score one SpMV, while ``"cg"``/``"jacobi"``/
-    ``"spgemm"``/``"spmm"`` (optionally ``":kind"``-suffixed) score
-    that workload on the same schedule — so sweeps extend to the new
-    workloads by listing them on their existing kernel axis.
-    """
-    factory = model_factory or PerfModel
-    reuse = ReuseStats.for_matrix(a)
-    return [simulate_measurement(a, arch, kernel, matrix_name,
-                                 ordering_name, model=factory(arch),
-                                 reuse=reuse)
-            for arch in architectures for kernel in kernels]

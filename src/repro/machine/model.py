@@ -51,14 +51,9 @@ from ..matrix.csr import CSRMatrix
 from ..obs.metrics import REGISTRY
 from ..obs.trace import span
 from ..spmv.schedule import Schedule, get_schedule
+from ..util.fastpath import fast_enabled
 from .arch import Architecture
-from .reuse import (
-    LOCALITY_WEIGHT,
-    ReuseStats,
-    distinct_count,
-    prev_occurrence,
-    windowed_distinct_loads,
-)
+from .reuse import LOCALITY_WEIGHT, ReuseStats
 
 #: bytes per stored nonzero streamed each iteration: 8 (value) + 4
 #: (column index, 32-bit as in the paper §4.1)
@@ -133,24 +128,22 @@ class PerfModel:
         mean.
     cache_scale:
         Cache size scale-down matching the corpus scale-down.
-    fastpath:
-        Serve the x-traffic and branch-irregularity statistics from the
-        memoised per-matrix :class:`~repro.machine.reuse.ReuseStats`
-        (and schedules from the per-matrix schedule cache).  The
-        predictions are bit-identical either way; ``False`` keeps the
-        original per-cell recomputation as a reference implementation
-        for the golden-equivalence tests and the fast-path benchmark.
+
+    :meth:`predict` has one production path, the vectorised
+    all-threads pass over the memoised per-matrix
+    :class:`~repro.machine.reuse.ReuseStats`.  Inside
+    :func:`repro.util.fastpath.reference_mode` it runs the original
+    per-thread, per-window ``np.unique`` loop instead, the oracle the
+    production path must match bit for bit.
     """
 
     def __init__(self, arch: Architecture, locality_term: bool = True,
                  imbalance_term: bool = True,
-                 cache_scale: float = DEFAULT_CACHE_SCALE,
-                 fastpath: bool = True) -> None:
+                 cache_scale: float = DEFAULT_CACHE_SCALE) -> None:
         self.arch = arch
         self.locality_term = locality_term
         self.imbalance_term = imbalance_term
         self.cache_scale = cache_scale
-        self.fastpath = fastpath
         self._cpi = _CPI_FLOP[arch.isa]
         self._row_cycles = _CYCLES_PER_ROW[arch.isa]
         self._mispredict = _MISPREDICT_CYCLES[arch.isa]
@@ -178,49 +171,11 @@ class PerfModel:
     # ------------------------------------------------------------------
     # x-traffic model
     # ------------------------------------------------------------------
-    def _x_line_loads(self, cols: np.ndarray) -> int:
+    def _x_line_loads_loop(self, cols: np.ndarray) -> int:
         """Modelled x line fetches (beyond L1/L2) for one thread's
         column-index stream, via the windowed working-set model.
 
-        One-shot entry point (used by the model/simulator validation
-        probe): builds the previous-occurrence array for this stream
-        and delegates to the shared vectorised implementation."""
-        if cols.size == 0:
-            return 0
-        if not self.locality_term:
-            return int(cols.size)
-        lines = cols // (self.arch.line_size // 8)
-        return self._loads_from_prev(prev_occurrence(lines), 0, cols.size)
-
-    def _loads_from_prev(self, prev: np.ndarray, lo: int, hi: int,
-                         reuse: ReuseStats | None = None) -> int:
-        """Windowed working-set loads for stream positions [lo, hi),
-        from the previous-occurrence array — bit-identical to (and the
-        vectorised O(nnz) replacement of) the historical per-window
-        ``np.unique`` loop kept in :meth:`_x_line_loads_loop`."""
-        n = hi - lo
-        if n == 0:
-            return 0
-        if not self.locality_term:
-            return int(n)
-        capacity_lines = self._l2_lines()
-        distinct_total = distinct_count(prev, lo, hi)
-        if distinct_total <= capacity_lines:
-            return distinct_total
-        # capacity regime: estimate how many accesses fill the window,
-        # then charge each window its distinct lines
-        density = distinct_total / n  # new-line probability
-        window = max(int(capacity_lines / max(density, 0.05)),
-                     capacity_lines)
-        positions = reuse.positions(n) if reuse is not None else None
-        loads = windowed_distinct_loads(prev, window, lo, hi,
-                                        positions=positions)
-        # compulsory fetches in full, capacity reloads damped
-        return int(distinct_total
-                   + LOCALITY_WEIGHT * (loads - distinct_total))
-
-    def _x_line_loads_loop(self, cols: np.ndarray) -> int:
-        """The original per-window ``np.unique`` implementation, kept
+        The original per-window ``np.unique`` implementation, kept
         verbatim as the reference the fast path must match bit-for-bit
         (golden-equivalence tests, ``bench_model_fastpath``)."""
         if cols.size == 0:
@@ -245,16 +200,13 @@ class PerfModel:
     # per-thread cost
     # ------------------------------------------------------------------
     def _thread_time(self, a: CSRMatrix, schedule: Schedule, t: int,
-                     resid: float, reuse: ReuseStats | None = None,
-                     prev: np.ndarray | None = None) -> tuple:
+                     resid: float) -> tuple:
+        """Reference cost of thread ``t``: ``(seconds, x_loads, bytes)``."""
         lo, hi = schedule.thread_entry_range(t)
         nnz_t = hi - lo
         rows_t = max(int(schedule.row_start[t + 1] - schedule.row_start[t]),
                      1 if nnz_t else 0)
-        if prev is not None:
-            x_loads = self._loads_from_prev(prev, lo, hi, reuse=reuse)
-        else:
-            x_loads = self._x_line_loads_loop(a.colidx[lo:hi])
+        x_loads = self._x_line_loads_loop(a.colidx[lo:hi])
         bytes_t = (BYTES_PER_NNZ * nnz_t + BYTES_PER_ROW * rows_t
                    + X_BYTES_PER_LOAD * x_loads)
         dram_bw = (self.arch.per_thread_bandwidth(schedule.nthreads)
@@ -268,16 +220,12 @@ class PerfModel:
         time_lat = (x_loads * (1.0 - resid) * MEMORY_LATENCY_S
                     / MEMORY_PARALLELISM)
         # compute roofline with branch-irregularity penalty
-        if reuse is not None:
-            changes = reuse.row_change_count(int(schedule.row_start[t]),
-                                             int(schedule.row_start[t + 1]))
+        lengths = np.diff(a.rowptr[int(schedule.row_start[t]):
+                                   int(schedule.row_start[t + 1]) + 1])
+        if lengths.size > 1:
+            changes = int(np.count_nonzero(np.diff(lengths)))
         else:
-            lengths = np.diff(a.rowptr[int(schedule.row_start[t]):
-                                       int(schedule.row_start[t + 1]) + 1])
-            if lengths.size > 1:
-                changes = int(np.count_nonzero(np.diff(lengths)))
-            else:
-                changes = 0
+            changes = 0
         cycles = (self._cpi * nnz_t + self._row_cycles * rows_t
                   + self._mispredict * changes)
         time_cpu = cycles / (self.arch.freq_ghz * 1e9)
@@ -329,6 +277,18 @@ class PerfModel:
         return np.maximum(time_mem + time_lat, time_cpu), x_loads, bytes_t
 
     # ------------------------------------------------------------------
+    # model variants
+    # ------------------------------------------------------------------
+    def _x_surcharge(self, a: CSRMatrix, schedule: Schedule,
+                     x_loads: np.ndarray, resid: float) -> np.ndarray | None:
+        """Extra seconds each thread pays on top of its base cost, or
+        ``None`` for none.  The base model adds nothing; subclasses that
+        model a placement (:class:`~repro.machine.numa.NumaModel`)
+        return one entry per thread, added to the thread times of
+        either implementation before the max/mean."""
+        return None
+
+    # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def predict(self, a: CSRMatrix, schedule: Schedule,
@@ -336,38 +296,35 @@ class PerfModel:
         """Predict one warm-cache SpMV iteration under ``schedule``.
 
         ``reuse`` supplies precomputed per-matrix statistics; when
-        omitted (and ``fastpath`` is on) the memoised per-matrix stats
-        are used, so repeated predictions on the same matrix object —
-        across architectures, kernels and thread counts — share one
-        previous-occurrence pass instead of re-deriving line ids and
-        per-window distinct counts per cell.
+        omitted the memoised per-matrix stats are used, so repeated
+        predictions on the same matrix object — across architectures,
+        kernels and thread counts — share one previous-occurrence pass
+        instead of re-deriving line ids and per-window distinct counts
+        per cell.  Under :func:`repro.util.fastpath.reference_mode` the
+        per-thread reference loop runs instead and ``reuse`` is unused.
         """
         REGISTRY.counter("model.predicts").inc()
-        if not self.fastpath:
-            reuse = None
-        elif reuse is None:
-            reuse = ReuseStats.for_matrix(a)
         resid = self.llc_residency(a)
-        if (reuse is not None
-                and type(self)._thread_time is PerfModel._thread_time):
+        if fast_enabled():
+            if reuse is None:
+                reuse = ReuseStats.for_matrix(a)
             times, loads_t, bytes_arr = self._predict_batch(
                 a, schedule, reuse, resid)
-            loads = int(loads_t.sum())
             # cumsum accumulates left-to-right like the loop below, so
             # the float result is bit-identical to the per-thread sum
             total_bytes = float(np.cumsum(bytes_arr)[-1])
         else:
-            prev = None
-            if reuse is not None and self.locality_term and a.nnz:
-                prev = reuse.prev(self.arch.line_size // 8)
             times = np.zeros(schedule.nthreads)
-            loads = 0
+            loads_t = np.zeros(schedule.nthreads, dtype=np.int64)
             total_bytes = 0.0
             for t in range(schedule.nthreads):
-                times[t], x_loads, bytes_t = self._thread_time(
-                    a, schedule, t, resid, reuse=reuse, prev=prev)
-                loads += x_loads
+                times[t], loads_t[t], bytes_t = self._thread_time(
+                    a, schedule, t, resid)
                 total_bytes += bytes_t
+        loads = int(loads_t.sum())
+        extra = self._x_surcharge(a, schedule, loads_t, resid)
+        if extra is not None:
+            times = times + extra
         if self.imbalance_term:
             seconds = float(times.max())
         else:

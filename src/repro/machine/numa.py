@@ -8,8 +8,9 @@ socket-local; the x vector, however, is read by *all* threads, so a
 fraction of x traffic crosses the socket interconnect no matter how it
 is placed.
 
-:class:`NumaModel` wraps :class:`~repro.machine.model.PerfModel` and
-adds a remote-access surcharge to each thread's x traffic:
+:class:`NumaModel` extends :class:`~repro.machine.model.PerfModel` with
+a remote-access surcharge on each thread's x traffic, added to the
+thread times of either model implementation:
 
 * ``first_touch`` — matrix/y local; x pages distributed by the threads
   that touched them first, so on average half of a thread's *remote*
@@ -31,7 +32,7 @@ from ..errors import ArchitectureError
 from ..matrix.csr import CSRMatrix
 from ..spmv.schedule import Schedule
 from .arch import Architecture
-from .model import PerfModel, SpmvPrediction, X_BYTES_PER_LOAD
+from .model import BANDWIDTH_EFFICIENCY, X_BYTES_PER_LOAD, PerfModel
 
 PLACEMENTS = ("local_only", "first_touch", "interleaved")
 DEFAULT_REMOTE_PENALTY = 1.7
@@ -53,39 +54,36 @@ class NumaModel(PerfModel):
         self.placement = placement
         self.remote_penalty = remote_penalty
 
-    def _remote_fraction(self, a: CSRMatrix, schedule: Schedule,
-                         t: int) -> float:
-        """Fraction of thread t's x accesses served by the other socket."""
-        if self.arch.sockets < 2 or self.placement == "local_only":
-            return 0.0
+    def _remote_fraction(self, a: CSRMatrix,
+                         schedule: Schedule) -> np.ndarray | float:
+        """Fraction of each thread's x accesses served by the other
+        socket (one entry per thread, or one value for all)."""
         if self.placement == "interleaved":
             return 0.5
         # first touch: x pages owned by the thread whose block initialised
         # them; accesses inside the thread's own column block are local,
         # the rest split evenly between the sockets
-        lo, hi = schedule.thread_entry_range(t)
-        if lo == hi:
-            return 0.0
-        cols = a.colidx[lo:hi]
-        block = a.ncols / schedule.nthreads
-        own_lo = t * block
-        own_hi = (t + 1) * block
-        local = np.count_nonzero((cols >= own_lo) & (cols < own_hi))
-        remote_share = 1.0 - local / cols.size
-        return 0.5 * remote_share
+        tcount = schedule.nthreads
+        nnz_t = np.diff(schedule.entry_start)
+        tid = np.repeat(np.arange(tcount, dtype=np.int64), nnz_t)
+        cols = a.colidx[schedule.entry_start[0]:schedule.entry_start[-1]]
+        block = a.ncols / tcount
+        own = (cols >= tid * block) & (cols < (tid + 1) * block)
+        local = np.bincount(tid[own], minlength=tcount)
+        frac = np.zeros(tcount)
+        busy = nnz_t > 0
+        frac[busy] = 0.5 * (1.0 - local[busy] / nnz_t[busy])
+        return frac
 
-    def _thread_time(self, a: CSRMatrix, schedule: Schedule, t: int,
-                     resid: float, reuse=None, prev=None) -> tuple:
-        base_time, x_loads, bytes_t = super()._thread_time(
-            a, schedule, t, resid, reuse=reuse, prev=prev)
-        frac = self._remote_fraction(a, schedule, t)
-        if frac == 0.0 or x_loads == 0:
-            return base_time, x_loads, bytes_t
-        # surcharge: remote x bytes cost (penalty - 1) extra, paid on
-        # the DRAM-side share of the traffic
+    def _x_surcharge(self, a: CSRMatrix, schedule: Schedule,
+                     x_loads: np.ndarray, resid: float) -> np.ndarray | None:
+        """Remote x bytes cost ``remote_penalty - 1`` extra, paid on
+        the DRAM-side share of each thread's x traffic."""
+        if self.arch.sockets < 2 or self.placement == "local_only":
+            return None
+        frac = self._remote_fraction(a, schedule)
         x_bytes = X_BYTES_PER_LOAD * x_loads
         dram_bw = (self.arch.per_thread_bandwidth(schedule.nthreads)
-                   * 0.77)
-        extra = (self.remote_penalty - 1.0) * frac * x_bytes \
-            * (1.0 - resid) / dram_bw
-        return base_time + extra, x_loads, bytes_t
+                   * BANDWIDTH_EFFICIENCY)
+        return ((self.remote_penalty - 1.0) * frac * x_bytes
+                * (1.0 - resid) / dram_bw)

@@ -1,6 +1,7 @@
 """Validating the analytical model against the exact cache simulator.
 
-The windowed working-set model (:meth:`PerfModel._x_line_loads`) is an
+The windowed working-set model behind the performance model's x
+traffic (:func:`~repro.machine.reuse.thread_window_loads`) is an
 approximation; this module quantifies how well it tracks ground truth
 on real inputs by comparing, per matrix, the model's x-line load count
 against the exact miss count of an LRU cache of the same capacity.
@@ -19,7 +20,10 @@ import numpy as np
 from ..errors import ArchitectureError
 from ..matrix.csr import CSRMatrix
 from .cache import LRUCache, simulate_x_misses
-from .model import PerfModel
+from .reuse import prev_occurrence, thread_window_loads
+
+#: x-vector doubles per 64-byte cache line (the simulated line size)
+WORDS_PER_LINE = 8
 
 
 @dataclass(frozen=True)
@@ -66,15 +70,13 @@ def validate_x_traffic_model(matrices, cache_lines: int = 64,
         if not isinstance(a, CSRMatrix):
             raise ArchitectureError(
                 "validate_x_traffic_model expects CSRMatrix inputs")
-        # a throwaway model whose L2 window equals the simulated cache
-        class _Probe(PerfModel):
-            def _l2_lines(self) -> int:
-                return cache_lines
-
-        from .arch import get_architecture
-
-        probe = _Probe(get_architecture("Rome"))
-        model_loads.append(probe._x_line_loads(a.colidx))
+        # the model's loads of one thread owning the whole stream, with
+        # an L2 window equal to the simulated cache
+        lines = a.colidx // WORDS_PER_LINE
+        loads = thread_window_loads(
+            prev_occurrence(lines), np.array([0, lines.size]),
+            cache_lines, np.arange(lines.size, dtype=np.int64))
+        model_loads.append(int(loads[0]))
         sim = LRUCache(size=cache_lines * 64, line_size=64,
                        associativity=min(associativity, cache_lines))
         exact.append(simulate_x_misses(a, sim))

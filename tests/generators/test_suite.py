@@ -1,5 +1,10 @@
 """Tests for the corpus registry and named stand-ins."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +101,37 @@ def test_named_matrix_deterministic():
     a = named_matrix("Freescale2", scale=0.25)
     b = named_matrix("Freescale2", scale=0.25)
     assert np.array_equal(a.matrix.colidx, b.matrix.colidx)
+
+
+_STANDIN_SCRIPT = r"""
+import hashlib
+from repro.generators import named_matrix
+
+a = named_matrix("Freescale2", scale=0.25).matrix
+h = hashlib.sha256()
+for arr in (a.rowptr, a.colidx):
+    h.update(arr.astype("int64").tobytes())
+print(a.nnz, h.hexdigest())
+"""
+
+
+@pytest.mark.slow
+def test_named_matrix_same_across_hash_seeds():
+    """The seed-0 stand-in does not depend on the interpreter's salted
+    ``str`` hash."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    out = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _STANDIN_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    nnz, _ = out[0].split()
+    assert int(nnz) == named_matrix("Freescale2", scale=0.25).nnz
 
 
 def test_figure1_and_table5_stand_ins_present():

@@ -89,7 +89,7 @@ def test_model_tracks_exact_simulator_ranking():
         c = LRUCache(size=64 * 64, line_size=64, associativity=8)
         misses.append(simulate_x_misses(m, c))
     # model (single thread to mirror the sequential simulator)
-    loads = [model._x_line_loads(m.colidx) for m in (a, b)]
+    loads = [model._x_line_loads_loop(m.colidx) for m in (a, b)]
     assert (misses[0] < misses[1]) == (loads[0] < loads[1])
 
 

@@ -75,6 +75,6 @@ def test_invalid_penalty_rejected(milan):
 def test_remote_fraction_bounds(milan, scattered):
     m = NumaModel(milan, placement="first_touch")
     s = schedule_1d(scattered, milan.threads)
-    for t in range(milan.threads):
-        f = m._remote_fraction(scattered, s, t)
-        assert 0.0 <= f <= 0.5
+    f = m._remote_fraction(scattered, s)
+    assert f.shape == (milan.threads,)
+    assert np.all((0.0 <= f) & (f <= 0.5))

@@ -4,23 +4,28 @@ The contract of the fast path (``ReuseStats`` + memoised schedules +
 the vectorised all-threads pass) is **bit-identity**: every field of
 every :class:`SpmvPrediction` must equal — with ``==``, not
 ``isclose`` — what the original per-cell, per-thread, per-window
-``np.unique`` implementation (``fastpath=False`` on a fresh matrix
-object) produces.  This is checked over a small corpus slice, every
-ordering of the study, all eight Table 2 architectures and both
-kernels, with GP recomputed per distinct ``gp_parts`` exactly as the
-sweep engine groups it.
+``np.unique`` implementation (the model under ``reference_mode()`` on
+a fresh matrix object) produces.  This is checked over a small corpus
+slice, every ordering of the study, all eight Table 2 architectures
+and both kernels, with GP recomputed per distinct ``gp_parts`` exactly
+as the sweep engine groups it, and for :class:`NumaModel` under every
+placement.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.generators.suite import build_corpus
 from repro.machine.arch import TABLE2
-from repro.machine.bench import simulate_measurement, simulate_many
+from repro.machine.bench import simulate_measurement
 from repro.machine.model import PerfModel, predict_many
+from repro.machine.numa import PLACEMENTS, NumaModel
 from repro.matrix.csr import CSRMatrix
 from repro.reorder.registry import ALL_ORDERINGS, compute_ordering
 from repro.spmv.schedule import get_schedule, schedule_1d, schedule_2d
+from repro.util.fastpath import reference_mode
 
 ARCHS = list(TABLE2.values())
 #: small/fast corpus slice spanning the generator families
@@ -39,14 +44,15 @@ def fresh_copy(a: CSRMatrix) -> CSRMatrix:
                      a.values.copy())
 
 
-def reference_prediction(a, arch, kernel):
+def reference_prediction(a, arch, kernel, model=None):
     """The legacy implementation: fresh matrix, no caches, per-window
     ``np.unique`` loop."""
-    model = PerfModel(arch, fastpath=False)
+    model = model or PerfModel(arch)
     b = fresh_copy(a)
     schedule = (schedule_1d if kernel == "1d" else schedule_2d)(
         b, arch.threads)
-    return model.predict(b, schedule)
+    with reference_mode():
+        return model.predict(b, schedule)
 
 
 def assert_same_prediction(fast, ref, context):
@@ -88,15 +94,17 @@ def test_predict_many_bit_identical_to_per_cell_predict(corpus_slice):
                         (entry.name, ordering, arch.name, kernel))
 
 
-def test_simulate_many_bit_identical_to_per_cell_records(corpus_slice):
+def test_simulate_measurement_bit_identical_to_reference_records(
+        corpus_slice):
     for entry in corpus_slice[:2]:
         b = fresh_copy(entry.matrix)
-        fast = simulate_many(b, ARCHS, matrix_name=entry.name,
-                             ordering_name="original")
-        legacy = [simulate_measurement(fresh_copy(entry.matrix), arch,
-                                       kernel, entry.name, "original",
-                                       model=PerfModel(arch, fastpath=False))
-                  for arch in ARCHS for kernel in ("1d", "2d")]
+        fast = [simulate_measurement(b, arch, kernel, entry.name,
+                                     "original")
+                for arch in ARCHS for kernel in ("1d", "2d")]
+        with reference_mode():
+            legacy = [simulate_measurement(fresh_copy(entry.matrix), arch,
+                                           kernel, entry.name, "original")
+                      for arch in ARCHS for kernel in ("1d", "2d")]
         assert fast == legacy
 
 
@@ -106,9 +114,9 @@ def test_predict_many_explicit_thread_counts(corpus_slice):
     out = predict_many(b, ARCHS[:2], kernels=("1d",), nthreads=(4, 16))
     for arch in ARCHS[:2]:
         for nt in (4, 16):
-            model = PerfModel(arch, fastpath=False)
             c = fresh_copy(entry.matrix)
-            ref = model.predict(c, schedule_1d(c, nt))
+            with reference_mode():
+                ref = PerfModel(arch).predict(c, schedule_1d(c, nt))
             assert_same_prediction(out[(arch.name, "1d", nt)], ref,
                                    (arch.name, nt))
 
@@ -124,8 +132,9 @@ def test_fastpath_ablation_models_stay_identical(corpus_slice):
         fast = PerfModel(arch, **flags).predict(
             b, get_schedule(b, "2d", arch.threads))
         c = fresh_copy(entry.matrix)
-        ref = PerfModel(arch, fastpath=False, **flags).predict(
-            c, schedule_2d(c, arch.threads))
+        with reference_mode():
+            ref = PerfModel(arch, **flags).predict(
+                c, schedule_2d(c, arch.threads))
         assert_same_prediction(fast, ref, flags)
 
 
@@ -142,5 +151,48 @@ def test_empty_and_tiny_matrices_agree():
                 b = fresh_copy(a)
                 sched = (schedule_1d if kernel == "1d" else schedule_2d)(
                     b, arch.threads)
-                ref = PerfModel(arch, fastpath=False).predict(b, sched)
+                with reference_mode():
+                    ref = PerfModel(arch).predict(b, sched)
                 assert_same_prediction(fast, ref, (a.nnz, arch.name, kernel))
+
+
+def test_numa_fast_path_matches_reference(corpus_slice):
+    """The placement surcharge is added after either implementation, so
+    :class:`NumaModel` inherits the bit-identity of the base model."""
+    for entry in corpus_slice:
+        a = fresh_copy(entry.matrix)
+        for arch in ARCHS:
+            for placement in PLACEMENTS:
+                model = NumaModel(arch, placement=placement)
+                for kernel in ("1d", "2d"):
+                    fast = model.predict(
+                        a, get_schedule(a, kernel, arch.threads))
+                    ref = reference_prediction(a, arch, kernel, model)
+                    assert_same_prediction(
+                        fast, ref, (entry.name, arch.name, placement,
+                                    kernel))
+
+
+#: SHA-256 over every NumaModel prediction field of the tiny corpus
+#: (seed 0) x 8 architectures x 3 placements x 1d/2d; a different
+#: digest is a change in NUMA model behaviour
+NUMA_DIGEST = \
+    "a9836d155967fc380cb245aa3b01d11220d267d485c175d23d25cee9bc76844a"
+
+
+def test_numa_predictions_match_golden_digest():
+    h = hashlib.sha256()
+    for entry in build_corpus("tiny", seed=0):
+        a = entry.matrix
+        for arch in ARCHS:
+            for placement in PLACEMENTS:
+                model = NumaModel(arch, placement=placement)
+                for kernel in ("1d", "2d"):
+                    p = model.predict(
+                        a, get_schedule(a, kernel, arch.threads))
+                    h.update(repr((p.seconds, p.x_line_loads,
+                                   p.bytes_total, p.gflops,
+                                   p.llc_residency)).encode())
+                    h.update(np.ascontiguousarray(
+                        p.thread_seconds, dtype=np.float64).tobytes())
+    assert h.hexdigest() == NUMA_DIGEST

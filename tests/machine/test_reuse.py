@@ -3,9 +3,9 @@
 The fast path of the performance model rests on three identities; each
 is checked here against the brute-force definition on random streams:
 
-* ``distinct_count`` / ``windowed_distinct_loads`` must equal per-slice
-  and per-window ``np.unique`` counts exactly (the model's predictions
-  are asserted bit-identical downstream, so these must be too);
+* ``thread_window_loads`` must equal the per-thread, per-window
+  ``np.unique`` working-set loads exactly (the model's predictions are
+  asserted bit-identical downstream, so these must be too);
 * ``stack_distances`` must equal the O(n²) distinct-values-between
   definition;
 * :class:`ReuseStats` must memoise per matrix object and report its
@@ -19,10 +19,9 @@ import pytest
 from repro.machine.reuse import (
     LOCALITY_WEIGHT,
     ReuseStats,
-    distinct_count,
     prev_occurrence,
     stack_distances,
-    windowed_distinct_loads,
+    thread_window_loads,
 )
 from repro.matrix.csr import CSRMatrix
 from repro.obs.metrics import REGISTRY
@@ -56,31 +55,46 @@ def test_prev_occurrence_matches_brute_force(rng):
         assert np.array_equal(prev_occurrence(stream), brute_prev(stream))
 
 
-def test_distinct_count_matches_np_unique(rng):
+def brute_window_loads(lines, capacity_lines):
+    """The windowed working-set model of one stream, with np.unique."""
+    distinct = int(np.unique(lines).size)
+    if distinct <= capacity_lines:
+        return distinct
+    window = max(int(capacity_lines / max(distinct / lines.size, 0.05)),
+                 capacity_lines)
+    loads = sum(int(np.unique(lines[k:k + window]).size)
+                for k in range(0, lines.size, window))
+    return int(distinct + LOCALITY_WEIGHT * (loads - distinct))
+
+
+def window_loads(stream, bounds, capacity_lines):
+    return thread_window_loads(prev_occurrence(stream), np.array(bounds),
+                               capacity_lines,
+                               np.arange(stream.size, dtype=np.int64))
+
+
+def test_thread_window_loads_fit_regime_matches_np_unique(rng):
+    """A window that holds every line charges each thread its distinct
+    line count, i.e. ``np.unique`` of its slice."""
     for stream in random_streams(rng):
-        prev = prev_occurrence(stream)
         n = stream.size
         for lo, hi in [(0, n), (0, n // 2), (n // 3, n), (n // 4, 3 * n // 4)]:
-            assert distinct_count(prev, lo, hi) == \
-                np.unique(stream[lo:hi]).size
+            bounds = [0, lo, hi, n]
+            got = window_loads(stream, bounds, max(n, 1))
+            expect = [np.unique(stream[s:e]).size
+                      for s, e in zip(bounds[:-1], bounds[1:])]
+            assert got.tolist() == expect, (n, lo, hi)
 
 
-def test_windowed_distinct_loads_matches_np_unique_loop(rng):
+def test_thread_window_loads_matches_np_unique_loop(rng):
     for stream in random_streams(rng):
-        prev = prev_occurrence(stream)
         n = stream.size
-        for window in (1, 3, 7, 64, max(n, 1)):
-            for lo, hi in [(0, n), (n // 3, n)]:
-                s = stream[lo:hi]
-                expect = sum(int(np.unique(s[k:k + window]).size)
-                             for k in range(0, s.size, window))
-                got = windowed_distinct_loads(prev, window, lo, hi)
-                assert got == expect, (n, window, lo, hi)
-
-
-def test_windowed_distinct_loads_rejects_bad_window():
-    with pytest.raises(ValueError):
-        windowed_distinct_loads(np.array([-1, 0]), 0, 0, 2)
+        for capacity in (1, 3, 7, 64, max(n, 1)):
+            for bounds in ([0, n], [0, n // 3, n]):
+                got = window_loads(stream, bounds, capacity)
+                expect = [brute_window_loads(stream[s:e], capacity)
+                          for s, e in zip(bounds[:-1], bounds[1:])]
+                assert got.tolist() == expect, (n, capacity, bounds)
 
 
 def brute_stack_distances(stream):
@@ -130,10 +144,10 @@ def test_reuse_stats_values(rng):
     assert np.array_equal(stats.lines(8), a.colidx // 8)
     assert np.array_equal(stats.prev(8), brute_prev(a.colidx // 8))
     lengths = np.diff(a.rowptr)
-    for lo, hi in [(0, a.nrows), (5, 20), (7, 8), (3, 3)]:
-        expect = (int(np.count_nonzero(np.diff(lengths[lo:hi])))
-                  if hi - lo >= 2 else 0)
-        assert stats.row_change_count(lo, hi) == expect
+    prefix = stats.row_change_prefix()
+    for lo, hi in [(0, a.nrows), (5, 20), (7, 8)]:
+        expect = int(np.count_nonzero(np.diff(lengths[lo:hi])))
+        assert prefix[hi - 1] - prefix[lo] == expect
 
 
 def test_reuse_stats_dropped_on_pickle(rng):
@@ -161,16 +175,8 @@ def brute_thread_x_loads(a, words_per_line, capacity_lines, schedule):
     out = []
     for t in range(schedule.nthreads):
         lo, hi = schedule.thread_entry_range(t)
-        lines = a.colidx[lo:hi] // words_per_line
-        distinct = int(np.unique(lines).size)
-        if distinct <= capacity_lines:
-            out.append(distinct)
-            continue
-        window = max(int(capacity_lines / max(distinct / lines.size, 0.05)),
-                     capacity_lines)
-        loads = sum(int(np.unique(lines[k:k + window]).size)
-                    for k in range(0, lines.size, window))
-        out.append(int(distinct + LOCALITY_WEIGHT * (loads - distinct)))
+        out.append(brute_window_loads(a.colidx[lo:hi] // words_per_line,
+                                      capacity_lines))
     return np.array(out, dtype=np.int64)
 
 

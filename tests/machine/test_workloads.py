@@ -12,7 +12,6 @@ from repro.machine import (
     get_architecture,
     predict_many,
     predict_workload,
-    simulate_many,
     simulate_measurement,
 )
 from repro.machine.bench import MeasurementRecord
@@ -133,13 +132,12 @@ def test_simulate_measurement_workload_specs(matrix):
     assert cg.gflops_mean != base.gflops_mean
 
 
-def test_simulate_many_mixed_specs():
+def test_simulate_measurement_mixed_specs():
     recs = []
     for name, a in (("a", stencil_2d(6, 6, seed=SEED)),
                     ("b", fem_mesh_2d(30, seed=SEED))):
-        recs.extend(simulate_many(a, architectures=[ARCH],
-                                  kernels=("1d", "cg", "spmm:2d"),
-                                  matrix_name=name))
+        recs.extend(simulate_measurement(a, ARCH, kernel, matrix_name=name)
+                    for kernel in ("1d", "cg", "spmm:2d"))
     kernels = {r.kernel for r in recs}
     assert kernels == {"1d", "cg", "spmm:2d"}
     workloads = {r.kernel: r.workload for r in recs}
